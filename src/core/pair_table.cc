@@ -6,19 +6,30 @@
 
 namespace crowdmax {
 
-void PairTable::Rehash(size_t capacity) {
+std::vector<PairTable::Slot> PairTable::Allocate(size_t capacity) {
   CROWDMAX_CHECK((capacity & (capacity - 1)) == 0);
   std::vector<Slot> old = std::move(slots_);
-  const uint32_t old_epoch = epoch_;
   slots_.assign(capacity, Slot{});
   mask_ = capacity - 1;
   shift_ = 64;
   for (size_t c = capacity; c > 1; c >>= 1) --shift_;
   epoch_ = 1;
   size_ = 0;
+  return old;
+}
+
+void PairTable::Rehash(size_t capacity) {
+  const uint32_t old_epoch = epoch_;
+  const std::vector<Slot> old = Allocate(capacity);
   for (const Slot& slot : old) {
     if (slot.epoch == old_epoch) Insert(slot.key, slot.value);
   }
+}
+
+void PairTable::RebuildFromPrefix(size_t kept, int64_t additional) {
+  const std::vector<Slot> old = Allocate(
+      CapacityFor(kept + static_cast<size_t>(additional), kInitialCapacity));
+  for (size_t i = 0; i < kept; ++i) Insert(old[i].key, old[i].value);
 }
 
 std::vector<std::pair<uint64_t, ElementId>> PairTable::SortedEntries() const {

@@ -50,6 +50,13 @@ class PairTable {
     return slot->epoch == epoch_ ? &slot->value : nullptr;
   }
 
+  /// Hints the memory system to fetch the slot `key` probes first; no
+  /// effect on contents. Lets a caller walking many keys overlap the
+  /// cache misses of a table larger than the CPU caches.
+  void Prefetch(uint64_t key) const {
+    __builtin_prefetch(&slots_[HomeIndex(key)]);
+  }
+
   /// Inserts `value` under `key` when absent; returns the slot value
   /// pointer either way and reports which through `inserted` (may be
   /// null). The unordered_map::emplace shape the engine's barrier merge
@@ -81,11 +88,31 @@ class PairTable {
   /// and caches slot pointers; pass 2 writes through them draw by draw.
   void Reserve(int64_t additional) {
     CROWDMAX_DCHECK(additional >= 0);
-    const size_t needed = static_cast<size_t>(size_ + additional);
-    size_t capacity = slots_.size();
-    // Same 7/8 load ceiling as MaybeGrow.
-    while (needed > capacity - (capacity >> 3)) capacity *= 2;
+    const size_t capacity =
+        CapacityFor(static_cast<size_t>(size_ + additional), slots_.size());
     if (capacity != slots_.size()) Rehash(capacity);
+  }
+
+  /// Rebuilds the table keeping only the entries for which
+  /// `keep(key, value)` holds, on a fresh arena sized so that the next
+  /// `additional` Insert calls cannot rehash (which pins slot pointers for
+  /// that window, like Reserve). The arena shrinks when most entries go.
+  /// Returns the number of entries dropped. The engine's live-pair memo
+  /// rebuild at round start (DESIGN.md §14).
+  template <typename Keep>
+  int64_t Retain(Keep&& keep, int64_t additional) {
+    CROWDMAX_DCHECK(additional >= 0);
+    // Compact the kept entries to the front of the old arena (index never
+    // passes the read cursor), then reinsert them into the new one.
+    size_t kept = 0;
+    for (const Slot& slot : slots_) {
+      if (slot.epoch == epoch_ && keep(slot.key, slot.value)) {
+        slots_[kept++] = slot;
+      }
+    }
+    const int64_t dropped = size_ - static_cast<int64_t>(kept);
+    RebuildFromPrefix(kept, additional);
+    return dropped;
   }
 
   /// Drops every entry in O(1) by bumping the epoch; capacity (the arena)
@@ -126,12 +153,16 @@ class PairTable {
   static constexpr size_t kInitialCapacity = 64;  // Power of two.
   static constexpr uint32_t kDeadEpoch = 0;
 
+  // Start of `key`'s probe chain. Fibonacci-hashes the key so packed pairs
+  // (dense ids in both words) spread over the power-of-two table.
+  size_t HomeIndex(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
   // First slot whose key matches, else the first free slot of the probe
-  // chain. Fibonacci-hashes the key so packed pairs (dense ids in both
-  // words) spread over the power-of-two table.
+  // chain.
   Slot* Probe(uint64_t key) {
-    const uint64_t hash = key * 0x9e3779b97f4a7c15ULL;
-    size_t index = static_cast<size_t>(hash >> shift_);
+    size_t index = HomeIndex(key);
     while (true) {
       Slot& slot = slots_[index];
       if (slot.epoch != epoch_ || slot.key == key) return &slot;
@@ -147,7 +178,22 @@ class PairTable {
     }
   }
 
+  // Smallest power of two >= `floor` whose 7/8 load ceiling (MaybeGrow's)
+  // holds `needed` entries.
+  static size_t CapacityFor(size_t needed, size_t floor) {
+    size_t capacity = floor;
+    while (needed > capacity - (capacity >> 3)) capacity *= 2;
+    return capacity;
+  }
+
+  // Fresh empty arena of `capacity` slots; returns the old one.
+  std::vector<Slot> Allocate(size_t capacity);
   void Rehash(size_t capacity);
+  // Rebuilds from the first `kept` slots of the current arena (all live
+  // entries, compacted there by Retain).
+  void RebuildFromPrefix(size_t kept, int64_t additional);
+
+  friend class PairTableTestPeer;  // Forces the epoch wrap in tests.
 
   std::vector<Slot> slots_;
   size_t mask_ = 0;

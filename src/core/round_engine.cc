@@ -23,6 +23,9 @@ constexpr uint32_t kEngineTag = CheckpointTag("ENG ");
 constexpr uint32_t kCacheTag = CheckpointTag("CACH");
 constexpr uint32_t kSourceTag = CheckpointTag("SRC ");
 
+// How many pairs ahead the serial memo walk prefetches its probe slot.
+constexpr size_t kPrefetchAhead = 16;
+
 // The serial-path tournament instrumentation AllPlayAll used to own: a
 // size observation per spanned unit. Recorded only where the pre-engine
 // serial code ran a spanned all-play-all, never per comparison.
@@ -64,6 +67,19 @@ void ObserveSpeculation(int64_t hits, int64_t mispredicts, int64_t wasted) {
   if (hits > 0) hit_counter->Add(hits);
   if (mispredicts > 0) miss_counter->Add(mispredicts);
   if (wasted > 0) wasted_counter->Add(wasted);
+}
+
+// Memo size gauges: the peak entry count of any engine memo, and the pairs
+// dropped by live-pair rebuilds. Wall-clock-free, but kept off AlgoTrace
+// so trace bytes do not depend on the memo policy.
+void ObserveMemo(int64_t entries, int64_t pruned) {
+  if (!MetricsEnabled()) return;
+  static Gauge* peak =
+      MetricsRegistry::Default()->GetGauge("crowdmax.engine.memo_entries");
+  static Counter* pruned_counter =
+      MetricsRegistry::Default()->GetCounter("crowdmax.engine.memo_pruned");
+  if (entries > peak->value()) peak->Set(entries);
+  if (pruned > 0) pruned_counter->Add(pruned);
 }
 
 }  // namespace
@@ -261,6 +277,31 @@ int64_t RoundEngine::logical_steps() const {
   return executor_->logical_steps() - steps_base_;
 }
 
+void RoundEngine::PruneMemo(const EngineRound& round) {
+  if (round.live_items == nullptr || !memoize_ || cache_ != &owned_cache_ ||
+      round.clear_round_cache) {
+    return;
+  }
+  // Lemma-1 eviction is permanent, so a pair with a dead endpoint is never
+  // asked again: dropping it changes no answer, counter or cache hit.
+  ElementId max_id = -1;
+  for (ElementId id : *round.live_items) max_id = std::max(max_id, id);
+  live_mark_.assign(static_cast<size_t>(max_id + 1), 0);
+  for (ElementId id : *round.live_items) {
+    live_mark_[static_cast<size_t>(id)] = 1;
+  }
+  const auto live = [this](uint64_t id) {
+    return id < live_mark_.size() && live_mark_[id] != 0;
+  };
+  const int64_t before = cache_->size();
+  const int64_t pruned = cache_->Retain(
+      [&live](uint64_t key, ElementId /*winner*/) {
+        return live(key & 0xFFFFFFFFu) && live(key >> 32);
+      },
+      round.TotalPairs());
+  ObserveMemo(before, pruned);
+}
+
 Result<RoundOutcome> RoundEngine::ExecuteRound(const EngineRound& round) {
   switch (backend_) {
     case Backend::kSerial:
@@ -285,8 +326,11 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   // (empty when batch == nullptr): steady-state rounds allocate nothing.
   std::vector<ComparisonPair>& misses = serial_misses_;
   std::vector<size_t>& miss_at = serial_miss_at_;  // pair index per miss
+  std::vector<ElementId*>& miss_slots = serial_miss_slots_;  // memo slots
   std::vector<ElementId>& answers = serial_answers_;  // GenerateVotes output
-  std::vector<size_t>& deferred = serial_deferred_;  // in-unit duplicates
+  // In-unit duplicates: pair index and the first occurrence's memo slot.
+  std::vector<std::pair<size_t, const ElementId*>>& deferred =
+      serial_deferred_;
 
   for (size_t u = 0; u < round.units.size(); ++u) {
     const RoundUnit& unit = round.units[u];
@@ -307,13 +351,21 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
       // GenerateVotes call, then written back. A duplicate of a pair whose
       // first occurrence is still unanswered counts as a cache hit — the
       // per-call path would find the first occurrence's fresh entry — and
-      // is filled from the cache afterwards.
+      // is filled from its first occurrence's slot afterwards. One probe
+      // per pair: the Reserve pins every slot pointer for the unit, so
+      // answers are written straight through them.
       winners.resize(unit.pairs.size());
       if (memoize_) {
         misses.clear();
         miss_at.clear();
+        miss_slots.clear();
         deferred.clear();
+        cache_->Reserve(static_cast<int64_t>(unit.pairs.size()));
         for (size_t p = 0; p < unit.pairs.size(); ++p) {
+          if (p + kPrefetchAhead < unit.pairs.size()) {
+            const ComparisonPair& ahead = unit.pairs[p + kPrefetchAhead];
+            cache_->Prefetch(PackPairKey(ahead.first, ahead.second));
+          }
           const ComparisonPair& pair = unit.pairs[p];
           const uint64_t key = PackPairKey(pair.first, pair.second);
           bool reserved = false;
@@ -322,7 +374,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
             // Same pair again within this unit, first occurrence still in
             // the miss list.
             ++cache_hits_;
-            deferred.push_back(p);
+            deferred.emplace_back(p, slot);
           } else if (!reserved && *slot != kUnresolvedWinner) {
             winners[p] = *slot;
             ++cache_hits_;
@@ -332,6 +384,7 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
             *slot = -1;
             misses.push_back(pair);
             miss_at.push_back(p);
+            miss_slots.push_back(slot);
           }
         }
         answers.resize(misses.size());
@@ -341,13 +394,10 @@ Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
           const ElementId winner = answers[m];
           CROWDMAX_DCHECK(winner == misses[m].first ||
                           winner == misses[m].second);
-          cache_->Set(PackPairKey(misses[m].first, misses[m].second), winner);
+          *miss_slots[m] = winner;
           winners[miss_at[m]] = winner;
         }
-        for (size_t p : deferred) {
-          const ComparisonPair& pair = unit.pairs[p];
-          winners[p] = *cache_->Find(PackPairKey(pair.first, pair.second));
-        }
+        for (const auto& [p, slot] : deferred) winners[p] = *slot;
       } else {
         answers.resize(unit.pairs.size());
         const int64_t produced = batch->GenerateVotes(unit.pairs, answers);
@@ -663,11 +713,13 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = trace->BeginRound(open_round);
     }
 
+    PruneMemo(round);
     Result<RoundOutcome> outcome = ExecuteRound(round);
     if (!outcome.ok()) {
       close_round_span();
       return outcome.status();
     }
+    ObserveMemo(cache_->size(), 0);
 
     // Comparator-backend cell recording at the round barrier: every paid
     // comparison came back answered (faults live in the executor stack)
@@ -1098,11 +1150,12 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       break;
     }
 
-    // A cache clear under in-flight rounds would drop their reservations:
-    // drain first. (Pipelining sources only clear at logical-round
-    // boundaries, where CanPipelineNextRound already forced a drain, so
-    // this loop is a no-op for them.)
-    if (round.clear_round_cache) {
+    // A cache clear or a live-pair rebuild under in-flight rounds would
+    // drop their reservations: drain first. (Pipelining sources only clear
+    // or declare live ids at logical-round boundaries, where
+    // CanPipelineNextRound already forced a drain, so this loop is a no-op
+    // for them.)
+    if (round.clear_round_cache || round.live_items != nullptr) {
       while (!in_flight.empty()) {
         Status retired = complete_oldest();
         if (!retired.ok()) {
@@ -1118,6 +1171,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       open_round_id = trace->BeginRound(round.open_round_executor);
     }
     const bool overlapped = !in_flight.empty();
+    PruneMemo(round);
 
     auto pending = std::make_unique<PendingRound>();
     pending->close_round = round.close_round_executor;
@@ -1131,6 +1185,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       return submitted;
     }
     in_flight.push_back(std::move(pending));
+    ObserveMemo(cache_->size(), 0);
     if (overlapped) ++overlapped_rounds_;
     const int64_t depth = static_cast<int64_t>(in_flight.size());
     if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;

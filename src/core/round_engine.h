@@ -119,6 +119,18 @@ struct EngineRound {
   /// re-emit the pairs it still needs.
   bool clear_round_cache = false;
 
+  /// Every id that can still appear in a pair of this or any later round
+  /// of the source; nullptr = not declared. A source whose eliminations
+  /// are permanent declares it on the round that opens each logical round
+  /// (the filter's Lemma-1 survivors, short tail group included). Before
+  /// executing it, an engine with a private memo drops every memo pair
+  /// with an endpoint outside the list and re-sizes the arena for the
+  /// survivors plus this round's pairs (DESIGN.md §14); the pipelined
+  /// drive drains in-flight rounds first, as for clear_round_cache.
+  /// SharedPairCache tables are never pruned. The pointee must outlive the
+  /// round's submission.
+  const std::vector<ElementId>* live_items = nullptr;
+
   int64_t TotalPairs() const;
 };
 
@@ -396,6 +408,11 @@ class RoundEngine {
               uint64_t seed, SharedPairCache* shared_cache,
               int64_t cache_class);
 
+  /// The live-pair memo rebuild declared by EngineRound::live_items; a
+  /// no-op without a declaration, for a shared cache, or when the round
+  /// clears the cache anyway.
+  void PruneMemo(const EngineRound& round);
+
   Result<RoundOutcome> ExecuteRound(const EngineRound& round);
   Result<RoundOutcome> ExecuteSerial(const EngineRound& round);
   Result<RoundOutcome> ExecuteParallel(const EngineRound& round);
@@ -440,6 +457,8 @@ class RoundEngine {
   // SharedPairCache class table was supplied at creation.
   PairTable* cache_;
   PairTable owned_cache_;
+  // PruneMemo scratch: live_mark_[id] != 0 for the declared live ids.
+  std::vector<uint8_t> live_mark_;
 
   bool batch_generation_ = true;
 
@@ -471,8 +490,9 @@ class RoundEngine {
   };
   std::vector<ComparisonPair> serial_misses_;
   std::vector<size_t> serial_miss_at_;
+  std::vector<ElementId*> serial_miss_slots_;
   std::vector<ElementId> serial_answers_;
-  std::vector<size_t> serial_deferred_;
+  std::vector<std::pair<size_t, const ElementId*>> serial_deferred_;
   std::vector<UnitScratch> unit_scratch_;
   std::vector<ComparisonPair> round_queries_;
   std::vector<ComparisonPair> round_misses_;

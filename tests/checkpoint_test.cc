@@ -24,6 +24,7 @@
 #include "core/checkpoint.h"
 #include "core/comparator.h"
 #include "core/filter_phase.h"
+#include "core/pair_table.h"
 #include "core/round_engine.h"
 #include "datasets/instances.h"
 
@@ -347,6 +348,90 @@ TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
   EXPECT_EQ(resumed->filter.rounds, baseline->filter.rounds);
   EXPECT_EQ(comparator.num_comparisons(),
             baseline_comparator.num_comparisons());
+}
+
+// Re-encodes `bytes` (a checkpoint of the golden run) field by field up to
+// the first loss-counter key of the filter section and returns that key's
+// byte offset: the re-encoding's length at that point. The re-encoded
+// prefix must equal the original, which pins the walk to the real layout.
+size_t FirstLossKeyOffset(const GoldenRun& run, const std::string& bytes) {
+  Result<CheckpointReader> opened = CheckpointReader::Open(bytes);
+  CROWDMAX_CHECK(opened.ok());
+  CheckpointReader reader = std::move(opened).value();
+  CheckpointWriter writer;
+  const auto copy_tag = [&] { writer.WriteTag(reader.ReadU32()); };
+  const auto copy_i64 = [&](int count) {
+    for (int i = 0; i < count; ++i) writer.WriteI64(reader.ReadI64());
+  };
+  const auto copy_ids = [&] { writer.WriteIdVector(reader.ReadIdVector()); };
+  copy_tag();  // DRV
+  copy_i64(2);
+  copy_tag();  // ENG
+  copy_i64(10);
+  writer.WriteRngState(reader.ReadRngState());
+  copy_tag();  // CACH
+  PairTable memo;
+  LoadPairTable(&reader, &memo);
+  SavePairTable(&writer, memo);
+  OracleComparator comparator(&run.instance);
+  CROWDMAX_CHECK(comparator.LoadState(&reader).ok());
+  CROWDMAX_CHECK(comparator.SaveState(&writer).ok());
+  copy_tag();  // SRC
+  copy_tag();  // FLT
+  copy_ids();  // survivors
+  const uint64_t groups = reader.ReadU64();
+  writer.WriteU64(groups);
+  for (uint64_t g = 0; g < groups; ++g) copy_ids();
+  copy_ids();  // tail
+  writer.WriteU64(reader.ReadU64());  // next_emit
+  writer.WriteU64(reader.ReadU64());  // next_consume
+  copy_ids();  // round_next
+  copy_i64(1);
+  writer.WriteStatus(reader.ReadStatus());
+  const uint64_t losers = reader.ReadU64();
+  writer.WriteU64(losers);
+  CROWDMAX_CHECK(reader.status().ok() && losers > 0);
+  CROWDMAX_CHECK(bytes.compare(0, writer.bytes().size(), writer.bytes()) == 0);
+  return writer.bytes().size();
+}
+
+void OverwriteI64(std::string* bytes, size_t offset, int64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + static_cast<size_t>(i)] =
+        static_cast<char>(static_cast<uint64_t>(value) >> (8 * i));
+  }
+}
+
+TEST(CheckpointGoldenTest, CorruptLossCounterIdsRefusedTyped) {
+  std::ifstream in(GoldenPath());
+  ASSERT_TRUE(in.good()) << GoldenPath() << " missing";
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  Result<std::string> golden = CheckpointFromHex(buffer.str());
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  const GoldenRun run = MakeGoldenRun();
+  const size_t key_at = FirstLossKeyOffset(run, *golden);
+
+  // The loss key itself, then the first opponent of its row (past the
+  // row's length word), each set to ids the run's 24 items do not have.
+  for (const size_t offset : {key_at, key_at + 16}) {
+    for (const int64_t bad_id : {int64_t{24}, int64_t{-1}, int64_t{1} << 40}) {
+      std::string bytes = *golden;
+      OverwriteI64(&bytes, offset, bad_id);
+      OracleComparator comparator(&run.instance);
+      std::unique_ptr<RoundEngine> engine =
+          RoundEngine::CreateSerial(&comparator, /*memoize=*/true);
+      CheckpointController controller;
+      controller.ResumeFrom(bytes);
+      engine->set_checkpoint(&controller);
+      Result<FilterEngineRun> resumed =
+          RunFilterOnEngine(run.items, run.options, engine.get());
+      ASSERT_FALSE(resumed.ok()) << "offset " << offset << " id " << bad_id;
+      EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+          << resumed.status().ToString();
+      EXPECT_EQ(controller.restores(), 0);
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // behaviour, with and without the Appendix-A optimizations.
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/comparator.h"
 #include "core/filter_phase.h"
 #include "core/instance.h"
+#include "core/round_engine.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 
@@ -43,6 +45,27 @@ TEST(FilterPhaseTest, RejectsDuplicateIds) {
   FilterOptions options;
   options.u_n = 1;
   EXPECT_FALSE(FilterCandidates({0, 0}, options, &oracle).ok());
+}
+
+TEST(FilterPhaseTest, RejectsNegativeIdsTyped) {
+  // A negative id would reach PackPairKey, where it aliases another
+  // pair's key; both entry points must refuse it up front.
+  Instance instance({1.0, 2.0, 3.0, 4.0});
+  OracleComparator oracle(&instance);
+  FilterOptions options;
+  options.u_n = 1;
+  Result<FilterResult> direct = FilterCandidates({0, 1, -3, 2}, options,
+                                                 &oracle);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), StatusCode::kInvalidArgument);
+
+  std::unique_ptr<RoundEngine> engine =
+      RoundEngine::CreateSerial(&oracle, /*memoize=*/true);
+  Result<FilterEngineRun> on_engine =
+      RunFilterOnEngine({0, 1, -3, 2}, options, engine.get());
+  ASSERT_FALSE(on_engine.ok());
+  EXPECT_EQ(on_engine.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oracle.num_comparisons(), 0);
 }
 
 TEST(FilterPhaseTest, SmallInputPassesThroughUntouched) {
