@@ -258,93 +258,101 @@ Status ParallelBatchExecutor::DoLoadState(CheckpointReader* reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched adapters. Every function below is a thin shell: create an
-// executor-backed RoundEngine, drive the shared RoundSource, translate the
-// engine run into the Batched* result shape. The round loops, caches,
-// budget gates and fault semantics all live in core/round_engine.cc and
-// the sources in filter_phase.cc / maxfind.cc / tournament.cc.
+// Batched and pipelined adapters: one body per algorithm creates an
+// executor-backed RoundEngine through a Route, drives the shared
+// RoundSource and translates the engine run into the Batched* result
+// shape; a Batched* function and its Pipelined* twin differ only in the
+// Route. The round loops, caches, budget gates and fault semantics all
+// live in core/round_engine.cc and the sources in filter_phase.cc /
+// maxfind.cc / tournament.cc.
 // ---------------------------------------------------------------------------
 
-Result<BatchedFilterResult> BatchedFilterCandidates(
-    const std::vector<ElementId>& items, const FilterOptions& options,
-    BatchExecutor* executor) {
-  CROWDMAX_CHECK(executor != nullptr);
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreateBatched(
-      executor, options.shared_cache, options.cache_class);
-  if (!engine.ok()) return engine.status();
+namespace {
 
-  Result<FilterEngineRun> run =
-      RunFilterOnEngine(items, options, engine->get());
-  if (!run.ok()) return run.status();
+// One worker class's way to the crowd: its synchronous executor, plus the
+// async front end and pipeline depth when its rounds are pipelined. The
+// executor is the one that keeps the accounting either way (async->inner()),
+// so it is also where the FaultReport comes from.
+struct Route {
+  BatchExecutor* executor = nullptr;
+  AsyncBatchExecutor* async = nullptr;
+  int64_t max_in_flight = 1;
 
-  BatchedFilterResult out;
-  out.filter = std::move(run->filter);
-  out.partial = run->partial;
-  out.fault_status = run->fault_status;
-  out.logical_steps = (*engine)->logical_steps();
-  return out;
+  static Route Batched(BatchExecutor* executor) { return {executor}; }
+  static Route Pipelined(AsyncBatchExecutor* async, int64_t max_in_flight) {
+    return {async != nullptr ? async->inner() : nullptr, async,
+            max_in_flight};
+  }
+
+  Result<std::unique_ptr<RoundEngine>> Engine(SharedPairCache* cache,
+                                              int64_t cache_class) const {
+    if (async == nullptr) {
+      return RoundEngine::CreateBatched(executor, cache, cache_class);
+    }
+    return RoundEngine::CreatePipelined(async, max_in_flight, cache,
+                                        cache_class);
+  }
+};
+
+// Copies `route`'s FaultReport into `*report` when its executor keeps one.
+void CollectFaults(const Route& route, bool* has_report, FaultReport* report) {
+  if (const FaultReport* faults = route.executor->fault_report()) {
+    *has_report = true;
+    *report = *faults;
+  }
 }
 
-Result<BatchedFilterResult> PipelinedFilterCandidates(
-    const std::vector<ElementId>& items, const FilterOptions& options,
-    AsyncBatchExecutor* async, const BatchedPipelineOptions& pipeline) {
-  CROWDMAX_CHECK(async != nullptr);
-  SharedPairCache* cache = pipeline.shared_cache != nullptr
-                               ? pipeline.shared_cache
-                               : options.shared_cache;
-  const int64_t cache_class = pipeline.shared_cache != nullptr
-                                  ? pipeline.cache_class
-                                  : options.cache_class;
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
-      async, pipeline.max_in_flight, cache, cache_class);
-  if (!engine.ok()) return engine.status();
-
-  Result<FilterEngineRun> run =
-      RunFilterOnEngine(items, options, engine->get());
-  if (!run.ok()) return run.status();
-
-  BatchedFilterResult out;
-  out.filter = std::move(run->filter);
-  out.partial = run->partial;
-  out.fault_status = run->fault_status;
-  out.logical_steps = (*engine)->logical_steps();
-  return out;
+// Folds a phase's partial flag into a run's result: the first fault status
+// wins.
+void MergePartial(bool partial, const Status& fault, bool* out_partial,
+                  Status* out_fault) {
+  if (!partial) return;
+  *out_partial = true;
+  if (out_fault->ok()) *out_fault = fault;
 }
 
-Result<BatchedMaxFindResult> BatchedTwoMaxFind(
-    const std::vector<ElementId>& items, BatchExecutor* executor,
-    SharedPairCache* shared_cache, int64_t cache_class) {
-  CROWDMAX_CHECK(executor != nullptr);
+// Folds an all-play-all run that left pairs without evidence into a
+// result's partial state: its transient fault, or an Unavailable naming
+// the unresolved count. `what` and `consequence` word the message.
+void MergeTournamentPartial(const TournamentEngineRun& run, const char* what,
+                            const char* consequence, bool* out_partial,
+                            Status* out_fault) {
+  if (run.unresolved == 0 && run.fault.ok()) return;
+  MergePartial(true,
+               run.fault.ok()
+                   ? Status::Unavailable(std::string(what) + " left " +
+                                         std::to_string(run.unresolved) +
+                                         " comparisons unresolved; " +
+                                         consequence)
+                   : run.fault,
+               out_partial, out_fault);
+}
+
+Result<BatchedFilterResult> FilterBody(const std::vector<ElementId>& items,
+                                       const FilterOptions& options,
+                                       const Route& route) {
   Result<std::unique_ptr<RoundEngine>> engine =
-      RoundEngine::CreateBatched(executor, shared_cache, cache_class);
+      route.Engine(options.shared_cache, options.cache_class);
   if (!engine.ok()) return engine.status();
 
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(items, engine->get());
+  Result<FilterEngineRun> run =
+      RunFilterOnEngine(items, options, engine->get());
   if (!run.ok()) return run.status();
 
-  BatchedMaxFindResult out;
-  out.maxfind = run->maxfind;
+  BatchedFilterResult out;
+  out.filter = std::move(run->filter);
   out.partial = run->partial;
   out.fault_status = run->fault_status;
-  out.survivors = std::move(run->survivors);
   out.logical_steps = (*engine)->logical_steps();
   return out;
 }
 
-Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
-    const std::vector<ElementId>& items, AsyncBatchExecutor* async,
-    const BatchedPipelineOptions& pipeline,
+Result<BatchedMaxFindResult> TwoMaxFindBody(
+    const std::vector<ElementId>& items, const Route& route,
     const TwoMaxFindEngineOptions& engine_options,
     SharedPairCache* shared_cache, int64_t cache_class) {
-  CROWDMAX_CHECK(async != nullptr);
-  SharedPairCache* cache = pipeline.shared_cache != nullptr
-                               ? pipeline.shared_cache
-                               : shared_cache;
-  const int64_t klass = pipeline.shared_cache != nullptr ? pipeline.cache_class
-                                                         : cache_class;
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
-      async, pipeline.max_in_flight, cache, klass);
+  Result<std::unique_ptr<RoundEngine>> engine =
+      route.Engine(shared_cache, cache_class);
   if (!engine.ok()) return engine.status();
 
   TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
@@ -361,11 +369,9 @@ Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
   return out;
 }
 
-Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
-    const std::vector<ElementId>& items, BatchExecutor* naive,
-    BatchExecutor* expert, const ExpertMaxOptions& options) {
-  CROWDMAX_CHECK(naive != nullptr);
-  CROWDMAX_CHECK(expert != nullptr);
+Result<BatchedExpertMaxResult> ExpertMaxBody(
+    const std::vector<ElementId>& items, const Route& naive,
+    const Route& expert, const ExpertMaxOptions& options) {
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
@@ -377,7 +383,7 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
     filter_options.cache_class = options.naive_cache_class;
   }
   Result<BatchedFilterResult> filtered =
-      BatchedFilterCandidates(items, filter_options, naive);
+      FilterBody(items, filter_options, naive);
   if (!filtered.ok()) return filtered.status();
 
   BatchedExpertMaxResult out;
@@ -388,14 +394,9 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
   out.result.filter_hit_empty_round = filtered->filter.hit_empty_round;
   out.result.filter_stopped_by_budget = filtered->filter.stopped_by_budget;
   out.naive_steps = filtered->logical_steps;
-  if (filtered->partial) {
-    out.partial = true;
-    out.fault_status = filtered->fault_status;
-  }
-  if (const FaultReport* report = naive->fault_report()) {
-    out.has_naive_faults = true;
-    out.naive_faults = *report;
-  }
+  MergePartial(filtered->partial, filtered->fault_status, &out.partial,
+               &out.fault_status);
+  CollectFaults(naive, &out.has_naive_faults, &out.naive_faults);
   if (out.result.candidates.empty()) {
     return Status::Internal("phase 1 returned an empty candidate set");
   }
@@ -403,9 +404,9 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
   // Phase 2 runs even on a partial phase 1: the conservative filter never
   // evicts without a counted loss, so the maximum is still among the
   // (possibly oversized) survivor set and the experts can finish the job.
-  Result<BatchedMaxFindResult> phase2 = BatchedTwoMaxFind(
-      out.result.candidates, expert, options.shared_cache,
-      options.expert_cache_class);
+  Result<BatchedMaxFindResult> phase2 =
+      TwoMaxFindBody(out.result.candidates, expert, {}, options.shared_cache,
+                     options.expert_cache_class);
   if (!phase2.ok()) return phase2.status();
 
   out.result.best = phase2->maxfind.best;
@@ -413,22 +414,15 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
   out.result.issued.expert = phase2->maxfind.issued_comparisons;
   out.result.phase2_rounds = phase2->maxfind.rounds;
   out.expert_steps = phase2->logical_steps;
-  if (phase2->partial) {
-    out.partial = true;
-    if (out.fault_status.ok()) out.fault_status = phase2->fault_status;
-  }
-  if (const FaultReport* report = expert->fault_report()) {
-    out.has_expert_faults = true;
-    out.expert_faults = *report;
-  }
+  MergePartial(phase2->partial, phase2->fault_status, &out.partial,
+               &out.fault_status);
+  CollectFaults(expert, &out.has_expert_faults, &out.expert_faults);
   return out;
 }
 
-Result<BatchedTopKResult> BatchedFindTopKWithExperts(
-    const std::vector<ElementId>& items, BatchExecutor* naive,
-    BatchExecutor* expert, const TopKOptions& options) {
-  CROWDMAX_CHECK(naive != nullptr);
-  CROWDMAX_CHECK(expert != nullptr);
+Result<BatchedTopKResult> TopKBody(const std::vector<ElementId>& items,
+                                   const Route& naive, const Route& expert,
+                                   const TopKOptions& options) {
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
@@ -448,8 +442,7 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
     filter.shared_cache = options.shared_cache;
     filter.cache_class = options.naive_cache_class;
   }
-  Result<BatchedFilterResult> filtered =
-      BatchedFilterCandidates(items, filter, naive);
+  Result<BatchedFilterResult> filtered = FilterBody(items, filter, naive);
   if (!filtered.ok()) return filtered.status();
 
   BatchedTopKResult out;
@@ -457,27 +450,22 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
   out.result.paid.naive = filtered->filter.paid_comparisons;
   out.result.filter_rounds = filtered->filter.rounds;
   out.naive_steps = filtered->logical_steps;
-  if (filtered->partial) {
-    out.partial = true;
-    out.fault_status = filtered->fault_status;
-  }
-  if (const FaultReport* report = naive->fault_report()) {
-    out.has_naive_faults = true;
-    out.naive_faults = *report;
-  }
+  MergePartial(filtered->partial, filtered->fault_status, &out.partial,
+               &out.fault_status);
+  CollectFaults(naive, &out.has_naive_faults, &out.naive_faults);
   if (static_cast<int64_t>(out.result.candidates.size()) < options.k) {
     return Status::Internal(
         "phase 1 returned fewer candidates than k; the comparator violated "
         "the threshold-model contract");
   }
 
-  // Phase 2: one expert all-play-all batch over the candidates; the k
-  // biggest winners in win order. A partial filter only enlarges the
-  // candidate set, so the tournament still ranks the true top-k. Against a
-  // shared cache, pairs an earlier expert-class run already resolved are
-  // answered for free.
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreateBatched(
-      expert, options.shared_cache, options.expert_cache_class);
+  // Phase 2: one expert all-play-all over the candidates (chunked when
+  // TopKOptions::expert_chunk_pairs > 0); the k biggest winners in win
+  // order. A partial filter only enlarges the candidate set, so the
+  // tournament still ranks the true top-k. Against a shared cache, pairs
+  // an earlier expert-class run already resolved are answered for free.
+  Result<std::unique_ptr<RoundEngine>> engine =
+      expert.Engine(options.shared_cache, options.expert_cache_class);
   if (!engine.ok()) return engine.status();
   TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
   Result<TournamentEngineRun> tournament = RunTournamentOnEngine(
@@ -489,22 +477,10 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
   // never in the per-class paid totals (DESIGN.md §15).
   out.result.paid.expert = (*engine)->paid() - (*engine)->speculation_wasted();
   out.expert_steps = (*engine)->logical_steps();
-  if (tournament->unresolved > 0 || !tournament->fault.ok()) {
-    out.partial = true;
-    if (out.fault_status.ok()) {
-      out.fault_status =
-          tournament->fault.ok()
-              ? Status::Unavailable(
-                    "expert tournament left " +
-                    std::to_string(tournament->unresolved) +
-                    " comparisons unresolved; the order is provisional")
-              : tournament->fault;
-    }
-  }
-  if (const FaultReport* report = expert->fault_report()) {
-    out.has_expert_faults = true;
-    out.expert_faults = *report;
-  }
+  MergeTournamentPartial(*tournament, "expert tournament",
+                         "the order is provisional", &out.partial,
+                         &out.fault_status);
+  CollectFaults(expert, &out.has_expert_faults, &out.expert_faults);
 
   std::vector<ElementId> ranked =
       OrderByWins(out.result.candidates, tournament->tournament);
@@ -513,15 +489,17 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
   return out;
 }
 
-Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
-    const std::vector<ElementId>& items,
-    const std::vector<BatchedWorkerClassSpec>& classes,
-    const MultilevelOptions& options) {
+// `Spec` is BatchedWorkerClassSpec or PipelinedWorkerClassSpec; `route_of`
+// maps one to its Route.
+template <typename Spec, typename RouteOf>
+Result<BatchedMultilevelResult> MultilevelBody(
+    const std::vector<ElementId>& items, const std::vector<Spec>& classes,
+    RouteOf route_of, const MultilevelOptions& options) {
   if (classes.empty()) {
     return Status::InvalidArgument("at least one worker class is required");
   }
-  for (const BatchedWorkerClassSpec& spec : classes) {
-    if (spec.executor == nullptr) {
+  for (const Spec& spec : classes) {
+    if (route_of(spec).executor == nullptr) {
       return Status::InvalidArgument("worker class has null executor");
     }
     if (spec.cost_per_comparison < 0.0) {
@@ -540,9 +518,10 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
   std::vector<ElementId> current = items;
 
   // Filtering levels: every class except the last. A partial level hands
-  // its (oversized but max-preserving) survivor set to the next class.
+  // its (oversized but max-preserving) survivor set to the next class. The
+  // class index doubles as the cache class (multilevel.h).
   for (size_t level = 0; level + 1 < classes.size(); ++level) {
-    const BatchedWorkerClassSpec& spec = classes[level];
+    const Spec& spec = classes[level];
     if (spec.u < 1) {
       return Status::InvalidArgument("worker class u must be >= 1");
     }
@@ -553,16 +532,14 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
       filter.cache_class = static_cast<int64_t>(level);
     }
     Result<BatchedFilterResult> filtered =
-        BatchedFilterCandidates(current, filter, spec.executor);
+        FilterBody(current, filter, route_of(spec));
     if (!filtered.ok()) return filtered.status();
     out.result.paid_per_class[level] = filtered->filter.paid_comparisons;
     out.steps_per_class[level] = filtered->logical_steps;
     out.result.candidates_per_level.push_back(
         static_cast<int64_t>(filtered->filter.candidates.size()));
-    if (filtered->partial) {
-      out.partial = true;
-      if (out.fault_status.ok()) out.fault_status = filtered->fault_status;
-    }
+    MergePartial(filtered->partial, filtered->fault_status, &out.partial,
+                 &out.fault_status);
     current = std::move(filtered->filter.candidates);
     if (current.empty()) {
       return Status::Internal("filter level returned an empty candidate set");
@@ -572,34 +549,25 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
   // Final level: phase-2 max-finding with the most expert class's
   // executor, through the same engine.
   const size_t last = classes.size() - 1;
-  BatchExecutor* final_executor = classes[last].executor;
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreateBatched(
-      final_executor, options.shared_cache, static_cast<int64_t>(last));
+  Result<std::unique_ptr<RoundEngine>> engine =
+      route_of(classes[last])
+          .Engine(options.shared_cache, static_cast<int64_t>(last));
   if (!engine.ok()) return engine.status();
   TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
   switch (options.final_phase) {
-    case Phase2Algorithm::kTwoMaxFind: {
-      Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(
-          current, engine->get(),
-          TwoMaxFindEngineOptions{options.final_speculate});
-      if (!run.ok()) return run.status();
-      out.result.best = run->maxfind.best;
-      if (run->partial) {
-        out.partial = true;
-        if (out.fault_status.ok()) out.fault_status = run->fault_status;
-      }
-      break;
-    }
+    case Phase2Algorithm::kTwoMaxFind:
     case Phase2Algorithm::kRandomized: {
       Result<MaxFindEngineRun> run =
-          RunRandomizedMaxFindOnEngine(current, engine->get(),
-                                       options.randomized);
+          options.final_phase == Phase2Algorithm::kTwoMaxFind
+              ? RunTwoMaxFindOnEngine(
+                    current, engine->get(),
+                    TwoMaxFindEngineOptions{options.final_speculate})
+              : RunRandomizedMaxFindOnEngine(current, engine->get(),
+                                             options.randomized);
       if (!run.ok()) return run.status();
       out.result.best = run->maxfind.best;
-      if (run->partial) {
-        out.partial = true;
-        if (out.fault_status.ok()) out.fault_status = run->fault_status;
-      }
+      MergePartial(run->partial, run->fault_status, &out.partial,
+                   &out.fault_status);
       break;
     }
     case Phase2Algorithm::kAllPlayAll: {
@@ -608,18 +576,8 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
           TournamentEngineOptions{options.final_chunk_pairs});
       if (!run.ok()) return run.status();
       out.result.best = current[IndexOfMostWins(run->tournament)];
-      if (run->unresolved > 0 || !run->fault.ok()) {
-        out.partial = true;
-        if (out.fault_status.ok()) {
-          out.fault_status =
-              run->fault.ok()
-                  ? Status::Unavailable(
-                        "final tournament left " +
-                        std::to_string(run->unresolved) +
-                        " comparisons unresolved; best is provisional")
-                  : run->fault;
-        }
-      }
+      MergeTournamentPartial(*run, "final tournament", "best is provisional",
+                             &out.partial, &out.fault_status);
       break;
     }
   }
@@ -633,6 +591,78 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
         classes[i].cost_per_comparison;
   }
   return out;
+}
+
+}  // namespace
+
+Result<BatchedFilterResult> BatchedFilterCandidates(
+    const std::vector<ElementId>& items, const FilterOptions& options,
+    BatchExecutor* executor) {
+  CROWDMAX_CHECK(executor != nullptr);
+  return FilterBody(items, options, Route::Batched(executor));
+}
+
+Result<BatchedFilterResult> PipelinedFilterCandidates(
+    const std::vector<ElementId>& items, const FilterOptions& options,
+    AsyncBatchExecutor* async, const BatchedPipelineOptions& pipeline) {
+  CROWDMAX_CHECK(async != nullptr);
+  FilterOptions filter = options;
+  if (pipeline.shared_cache != nullptr) {
+    filter.shared_cache = pipeline.shared_cache;
+    filter.cache_class = pipeline.cache_class;
+  }
+  return FilterBody(items, filter,
+                    Route::Pipelined(async, pipeline.max_in_flight));
+}
+
+Result<BatchedMaxFindResult> BatchedTwoMaxFind(
+    const std::vector<ElementId>& items, BatchExecutor* executor,
+    SharedPairCache* shared_cache, int64_t cache_class) {
+  CROWDMAX_CHECK(executor != nullptr);
+  return TwoMaxFindBody(items, Route::Batched(executor), {}, shared_cache,
+                        cache_class);
+}
+
+Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
+    const std::vector<ElementId>& items, AsyncBatchExecutor* async,
+    const BatchedPipelineOptions& pipeline,
+    const TwoMaxFindEngineOptions& engine_options,
+    SharedPairCache* shared_cache, int64_t cache_class) {
+  CROWDMAX_CHECK(async != nullptr);
+  if (pipeline.shared_cache != nullptr) {
+    shared_cache = pipeline.shared_cache;
+    cache_class = pipeline.cache_class;
+  }
+  return TwoMaxFindBody(items, Route::Pipelined(async, pipeline.max_in_flight),
+                        engine_options, shared_cache, cache_class);
+}
+
+Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
+    const std::vector<ElementId>& items, BatchExecutor* naive,
+    BatchExecutor* expert, const ExpertMaxOptions& options) {
+  CROWDMAX_CHECK(naive != nullptr);
+  CROWDMAX_CHECK(expert != nullptr);
+  return ExpertMaxBody(items, Route::Batched(naive), Route::Batched(expert),
+                       options);
+}
+
+Result<BatchedExpertMaxResult> PipelinedFindMaxWithExperts(
+    const std::vector<ElementId>& items, AsyncBatchExecutor* naive,
+    BatchExecutor* expert, const ExpertMaxOptions& options,
+    const BatchedPipelineOptions& pipeline) {
+  CROWDMAX_CHECK(naive != nullptr);
+  CROWDMAX_CHECK(expert != nullptr);
+  return ExpertMaxBody(items, Route::Pipelined(naive, pipeline.max_in_flight),
+                       Route::Batched(expert), options);
+}
+
+Result<BatchedTopKResult> BatchedFindTopKWithExperts(
+    const std::vector<ElementId>& items, BatchExecutor* naive,
+    BatchExecutor* expert, const TopKOptions& options) {
+  CROWDMAX_CHECK(naive != nullptr);
+  CROWDMAX_CHECK(expert != nullptr);
+  return TopKBody(items, Route::Batched(naive), Route::Batched(expert),
+                  options);
 }
 
 Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
@@ -641,86 +671,22 @@ Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
     const BatchedPipelineOptions& pipeline) {
   CROWDMAX_CHECK(naive != nullptr);
   CROWDMAX_CHECK(expert != nullptr);
-  if (items.empty()) {
-    return Status::InvalidArgument("input set must be non-empty");
-  }
-  if (options.k < 1 || options.k > static_cast<int64_t>(items.size())) {
-    return Status::InvalidArgument("k must be in [1, |items|]");
-  }
-  if (options.filter.u_n < 1) {
-    return Status::InvalidArgument("u_n must be >= 1");
-  }
-  // Same run-span label as the batched path: the pipelined drive is
-  // bit-identical to it, traces included.
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_topk");
+  // The per-class cache wiring lives in `options`; pipeline.shared_cache
+  // would force both classes into one cache class and is ignored.
+  return TopKBody(items, Route::Pipelined(naive, pipeline.max_in_flight),
+                  Route::Pipelined(expert, pipeline.max_in_flight), options);
+}
 
-  FilterOptions filter = options.filter;
-  filter.u_n = options.filter.u_n + options.k - 1;
-  if (options.shared_cache != nullptr) {
-    filter.shared_cache = options.shared_cache;
-    filter.cache_class = options.naive_cache_class;
-  }
-  // The per-class cache wiring lives in `options`; a pipeline-level
-  // override would force both classes into one cache class.
-  BatchedPipelineOptions phase_pipeline = pipeline;
-  phase_pipeline.shared_cache = nullptr;
-  Result<BatchedFilterResult> filtered =
-      PipelinedFilterCandidates(items, filter, naive, phase_pipeline);
-  if (!filtered.ok()) return filtered.status();
-
-  BatchedTopKResult out;
-  out.result.candidates = std::move(filtered->filter.candidates);
-  out.result.paid.naive = filtered->filter.paid_comparisons;
-  out.result.filter_rounds = filtered->filter.rounds;
-  out.naive_steps = filtered->logical_steps;
-  if (filtered->partial) {
-    out.partial = true;
-    out.fault_status = filtered->fault_status;
-  }
-  if (const FaultReport* report = naive->inner()->fault_report()) {
-    out.has_naive_faults = true;
-    out.naive_faults = *report;
-  }
-  if (static_cast<int64_t>(out.result.candidates.size()) < options.k) {
-    return Status::Internal(
-        "phase 1 returned fewer candidates than k; the comparator violated "
-        "the threshold-model contract");
-  }
-
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
-      expert, pipeline.max_in_flight, options.shared_cache,
-      options.expert_cache_class);
-  if (!engine.ok()) return engine.status();
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<TournamentEngineRun> tournament = RunTournamentOnEngine(
-      out.result.candidates, engine->get(), "all_play_all",
-      TournamentEngineOptions{options.expert_chunk_pairs});
-  if (!tournament.ok()) return tournament.status();
-
-  out.result.paid.expert = (*engine)->paid() - (*engine)->speculation_wasted();
-  out.expert_steps = (*engine)->logical_steps();
-  if (tournament->unresolved > 0 || !tournament->fault.ok()) {
-    out.partial = true;
-    if (out.fault_status.ok()) {
-      out.fault_status =
-          tournament->fault.ok()
-              ? Status::Unavailable(
-                    "expert tournament left " +
-                    std::to_string(tournament->unresolved) +
-                    " comparisons unresolved; the order is provisional")
-              : tournament->fault;
-    }
-  }
-  if (const FaultReport* report = expert->inner()->fault_report()) {
-    out.has_expert_faults = true;
-    out.expert_faults = *report;
-  }
-
-  std::vector<ElementId> ranked =
-      OrderByWins(out.result.candidates, tournament->tournament);
-  ranked.resize(static_cast<size_t>(options.k));
-  out.result.top = std::move(ranked);
-  return out;
+Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
+    const std::vector<ElementId>& items,
+    const std::vector<BatchedWorkerClassSpec>& classes,
+    const MultilevelOptions& options) {
+  return MultilevelBody(
+      items, classes,
+      [](const BatchedWorkerClassSpec& spec) {
+        return Route::Batched(spec.executor);
+      },
+      options);
 }
 
 Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
@@ -728,125 +694,14 @@ Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
     const std::vector<PipelinedWorkerClassSpec>& classes,
     const MultilevelOptions& options,
     const BatchedPipelineOptions& pipeline) {
-  if (classes.empty()) {
-    return Status::InvalidArgument("at least one worker class is required");
-  }
-  for (const PipelinedWorkerClassSpec& spec : classes) {
-    if (spec.async == nullptr) {
-      return Status::InvalidArgument("worker class has null executor");
-    }
-    if (spec.cost_per_comparison < 0.0) {
-      return Status::InvalidArgument("cost_per_comparison must be >= 0");
-    }
-  }
-  if (items.empty()) {
-    return Status::InvalidArgument("input set must be non-empty");
-  }
-  // Same run-span label as the batched path: the pipelined drive is
-  // bit-identical to it, traces included.
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_multilevel");
-
-  BatchedMultilevelResult out;
-  out.result.paid_per_class.assign(classes.size(), 0);
-  out.steps_per_class.assign(classes.size(), 0);
-
-  std::vector<ElementId> current = items;
-
-  // The class index doubles as the cache class (multilevel.h), so the
-  // pipeline-level cache override is dropped in favour of per-level wiring.
-  BatchedPipelineOptions level_pipeline = pipeline;
-  level_pipeline.shared_cache = nullptr;
-
-  for (size_t level = 0; level + 1 < classes.size(); ++level) {
-    const PipelinedWorkerClassSpec& spec = classes[level];
-    if (spec.u < 1) {
-      return Status::InvalidArgument("worker class u must be >= 1");
-    }
-    FilterOptions filter = options.filter_template;
-    filter.u_n = spec.u;
-    if (options.shared_cache != nullptr) {
-      filter.shared_cache = options.shared_cache;
-      filter.cache_class = static_cast<int64_t>(level);
-    }
-    Result<BatchedFilterResult> filtered =
-        PipelinedFilterCandidates(current, filter, spec.async, level_pipeline);
-    if (!filtered.ok()) return filtered.status();
-    out.result.paid_per_class[level] = filtered->filter.paid_comparisons;
-    out.steps_per_class[level] = filtered->logical_steps;
-    out.result.candidates_per_level.push_back(
-        static_cast<int64_t>(filtered->filter.candidates.size()));
-    if (filtered->partial) {
-      out.partial = true;
-      if (out.fault_status.ok()) out.fault_status = filtered->fault_status;
-    }
-    current = std::move(filtered->filter.candidates);
-    if (current.empty()) {
-      return Status::Internal("filter level returned an empty candidate set");
-    }
-  }
-
-  const size_t last = classes.size() - 1;
-  Result<std::unique_ptr<RoundEngine>> engine = RoundEngine::CreatePipelined(
-      classes[last].async, pipeline.max_in_flight, options.shared_cache,
-      static_cast<int64_t>(last));
-  if (!engine.ok()) return engine.status();
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  switch (options.final_phase) {
-    case Phase2Algorithm::kTwoMaxFind: {
-      Result<MaxFindEngineRun> run = RunTwoMaxFindOnEngine(
-          current, engine->get(),
-          TwoMaxFindEngineOptions{options.final_speculate});
-      if (!run.ok()) return run.status();
-      out.result.best = run->maxfind.best;
-      if (run->partial) {
-        out.partial = true;
-        if (out.fault_status.ok()) out.fault_status = run->fault_status;
-      }
-      break;
-    }
-    case Phase2Algorithm::kRandomized: {
-      Result<MaxFindEngineRun> run =
-          RunRandomizedMaxFindOnEngine(current, engine->get(),
-                                       options.randomized);
-      if (!run.ok()) return run.status();
-      out.result.best = run->maxfind.best;
-      if (run->partial) {
-        out.partial = true;
-        if (out.fault_status.ok()) out.fault_status = run->fault_status;
-      }
-      break;
-    }
-    case Phase2Algorithm::kAllPlayAll: {
-      Result<TournamentEngineRun> run = RunTournamentOnEngine(
-          current, engine->get(), "all_play_all",
-          TournamentEngineOptions{options.final_chunk_pairs});
-      if (!run.ok()) return run.status();
-      out.result.best = current[IndexOfMostWins(run->tournament)];
-      if (run->unresolved > 0 || !run->fault.ok()) {
-        out.partial = true;
-        if (out.fault_status.ok()) {
-          out.fault_status =
-              run->fault.ok()
-                  ? Status::Unavailable(
-                        "final tournament left " +
-                        std::to_string(run->unresolved) +
-                        " comparisons unresolved; best is provisional")
-                  : run->fault;
-        }
-      }
-      break;
-    }
-  }
-  out.result.paid_per_class[last] =
-      (*engine)->paid() - (*engine)->speculation_wasted();
-  out.steps_per_class[last] = (*engine)->logical_steps();
-
-  for (size_t i = 0; i < classes.size(); ++i) {
-    out.result.total_cost +=
-        static_cast<double>(out.result.paid_per_class[i]) *
-        classes[i].cost_per_comparison;
-  }
-  return out;
+  // The class index doubles as the cache class (multilevel.h), so
+  // pipeline.shared_cache is ignored in favour of per-level wiring.
+  return MultilevelBody(
+      items, classes,
+      [&pipeline](const PipelinedWorkerClassSpec& spec) {
+        return Route::Pipelined(spec.async, pipeline.max_in_flight);
+      },
+      options);
 }
 
 }  // namespace crowdmax

@@ -19,6 +19,17 @@
 // ties). This file owns the executor stack (the crowd-side abstraction)
 // and the thin Batched* adapters; the round loop itself lives in
 // RoundEngine and nowhere else.
+//
+// Whether a round's crowd trip overlaps the next round is a property of
+// how the batch is sent, not of the algorithm, so each Pipelined* function
+// reaches the same body as its Batched* twin: only the engine it builds
+// (CreateBatched or CreatePipelined) differs, and the FaultReport is read
+// from the executor that keeps the accounting (AsyncBatchExecutor::inner()
+// for a pipelined class). Both engines resolve and store their rounds
+// through the same two halves (RoundEngine::ResolveRound / StoreRound), so
+// a Pipelined* run's results, counters and traces are bit-identical to its
+// Batched* twin over the same executor stack; only wall clock (and the
+// engine's speculation counters) differ.
 
 #ifndef CROWDMAX_CORE_BATCHED_H_
 #define CROWDMAX_CORE_BATCHED_H_
@@ -317,13 +328,11 @@ struct BatchedPipelineOptions {
   int64_t cache_class = 0;
 };
 
-/// Algorithm 2 driven on a pipelined engine: rounds are submitted through
-/// `async` and overlap their crowd round trips wherever the source's
-/// legality conditions hold. Set FilterOptions::pipeline_groups to emit one
-/// engine round per disjoint group — with it off every round is a
-/// dependency barrier and the pipeline never gets deeper than 1. Results,
-/// counters and traces are bit-identical to BatchedFilterCandidates over
-/// the same executor stack with the same options; only wall-clock differs.
+/// BatchedFilterCandidates on a pipelined engine: rounds are submitted
+/// through `async` and overlap their crowd round trips wherever the
+/// source's legality conditions hold. Set FilterOptions::pipeline_groups to
+/// emit one engine round per disjoint group — with it off every round is a
+/// dependency barrier and the pipeline never gets deeper than 1.
 Result<BatchedFilterResult> PipelinedFilterCandidates(
     const std::vector<ElementId>& items, const FilterOptions& options,
     AsyncBatchExecutor* async, const BatchedPipelineOptions& pipeline = {});
@@ -350,14 +359,11 @@ Result<BatchedMaxFindResult> BatchedTwoMaxFind(
     const std::vector<ElementId>& items, BatchExecutor* executor,
     SharedPairCache* shared_cache = nullptr, int64_t cache_class = 1);
 
-/// 2-MaxFind on a pipelined engine. With `engine_options.speculate` set the
-/// source issues each round's elimination scan while its sample tournament
-/// is still in flight, predicated on the predicted pivot (DESIGN.md §15);
-/// results, traces and paid counters are bit-identical to BatchedTwoMaxFind
-/// over the same executor stack — only wall clock and the engine's
-/// speculation counters differ. Speculation is ignored on budget-gated
-/// drives (none here) and costs nothing when the prediction always misses
-/// beyond the tracked `speculation_wasted` charge.
+/// BatchedTwoMaxFind on a pipelined engine. With `engine_options.speculate`
+/// set the source issues each round's elimination scan while its sample
+/// tournament is still in flight, predicated on the predicted pivot
+/// (DESIGN.md §15). A misprediction costs nothing beyond the tracked
+/// `speculation_wasted` charge.
 Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
     const std::vector<ElementId>& items, AsyncBatchExecutor* async,
     const BatchedPipelineOptions& pipeline = {},
@@ -394,6 +400,16 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
     const std::vector<ElementId>& items, BatchExecutor* naive,
     BatchExecutor* expert, const ExpertMaxOptions& options);
 
+/// BatchedFindMaxWithExperts with a pipelined Phase 1: the filter's rounds
+/// go through `naive` (set FilterOptions::pipeline_groups in
+/// options.filter to overlap its groups), while 2-MaxFind stays on the
+/// synchronous `expert` — its rounds never overlap without speculation,
+/// so an async front end would only add per-round cost.
+Result<BatchedExpertMaxResult> PipelinedFindMaxWithExperts(
+    const std::vector<ElementId>& items, AsyncBatchExecutor* naive,
+    BatchExecutor* expert, const ExpertMaxOptions& options,
+    const BatchedPipelineOptions& pipeline = {});
+
 /// Top-k result plus per-class logical steps and fault accounting.
 struct BatchedTopKResult {
   TopKResult result;
@@ -420,12 +436,10 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
     const std::vector<ElementId>& items, BatchExecutor* naive,
     BatchExecutor* expert, const TopKOptions& options);
 
-/// Top-k on pipelined engines: the filter phase overlaps its disjoint
-/// groups (set FilterOptions::pipeline_groups in options.filter) and the
-/// expert all-play-all overlaps its chunks when
-/// TopKOptions::expert_chunk_pairs > 0. Results are bit-identical to
-/// BatchedFindTopKWithExperts over the same executor stacks with the same
-/// options; only wall clock differs.
+/// BatchedFindTopKWithExperts on pipelined engines: the filter phase
+/// overlaps its disjoint groups (set FilterOptions::pipeline_groups in
+/// options.filter) and the expert all-play-all overlaps its chunks when
+/// TopKOptions::expert_chunk_pairs > 0.
 Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
     const std::vector<ElementId>& items, AsyncBatchExecutor* naive,
     AsyncBatchExecutor* expert, const TopKOptions& options,
@@ -474,13 +488,10 @@ struct PipelinedWorkerClassSpec {
   double cost_per_comparison = 1.0;
 };
 
-/// The worker-class cascade on pipelined engines: filter levels overlap
+/// BatchedFindMaxMultilevel on pipelined engines: filter levels overlap
 /// their disjoint groups (set FilterOptions::pipeline_groups in
 /// options.filter_template), and the final phase overlaps per
 /// MultilevelOptions::final_chunk_pairs / final_speculate (DESIGN.md §15).
-/// Results are bit-identical to BatchedFindMaxMultilevel over the same
-/// executor stacks with the same options; only wall clock and the engines'
-/// speculation counters differ.
 Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
     const std::vector<ElementId>& items,
     const std::vector<PipelinedWorkerClassSpec>& classes,

@@ -79,7 +79,7 @@ Result<CheckpointReader> CheckpointReader::Open(std::string bytes) {
 
 bool CheckpointReader::Take(size_t n, const unsigned char** out) {
   if (!status_.ok()) return false;
-  if (pos_ + n > bytes_.size()) {
+  if (n > bytes_.size() - pos_) {
     status_ = Status::FailedPrecondition(
         "checkpoint truncated at byte " + std::to_string(pos_));
     return false;
@@ -186,13 +186,21 @@ std::array<uint64_t, 5> CheckpointReader::ReadRngState() {
 }
 
 std::vector<int64_t> CheckpointReader::ReadIdVector() {
-  const uint64_t n = ReadU64();
   std::vector<int64_t> ids;
-  if (!status_.ok()) return ids;
-  // A corrupt length must not drive a multi-gigabyte reserve; the per-read
-  // bounds check below fails fast instead.
-  for (uint64_t i = 0; i < n && status_.ok(); ++i) ids.push_back(ReadI64());
+  ReadIdVector(&ids);
   return ids;
+}
+
+uint64_t CheckpointReader::ReadCount(size_t entry_bytes) {
+  const uint64_t n = ReadU64();
+  if (!status_.ok()) return 0;
+  if (n > (bytes_.size() - pos_) / entry_bytes) {
+    status_ = Status::FailedPrecondition(
+        "checkpoint truncated at byte " + std::to_string(pos_) + ": " +
+        std::to_string(n) + " entries announced");
+    return 0;
+  }
+  return n;
 }
 
 void CheckpointReader::ExpectTag(uint32_t tag) {

@@ -129,12 +129,17 @@ class CheckpointReader {
   template <typename T>
   void ReadIdVector(std::vector<T>* out) {
     out->clear();
-    const uint64_t n = ReadU64();
+    const uint64_t n = ReadCount(8);
     out->reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n && status_.ok(); ++i) {
       out->push_back(static_cast<T>(ReadI64()));
     }
   }
+
+  /// Reads the length prefix of a sequence of `entry_bytes`-byte entries.
+  /// A length the remaining bytes cannot hold latches the truncation error
+  /// and reads as 0, so a corrupted length never drives an allocation.
+  uint64_t ReadCount(size_t entry_bytes);
 
   /// Consumes a tag and latches an error if it is not `tag`.
   void ExpectTag(uint32_t tag);
@@ -142,7 +147,7 @@ class CheckpointReader {
   template <typename Map>
   void ReadSortedMap(Map* map) {
     map->clear();
-    const uint64_t n = ReadU64();
+    const uint64_t n = ReadCount(16);
     for (uint64_t i = 0; i < n && status_.ok(); ++i) {
       const auto key =
           static_cast<typename Map::key_type>(ReadI64());
@@ -155,7 +160,7 @@ class CheckpointReader {
   template <typename Set>
   void ReadSortedSet(Set* set) {
     set->clear();
-    const uint64_t n = ReadU64();
+    const uint64_t n = ReadCount(8);
     for (uint64_t i = 0; i < n && status_.ok(); ++i) {
       set->insert(static_cast<typename Set::key_type>(ReadI64()));
     }

@@ -53,7 +53,7 @@ void SavePairTable(CheckpointWriter* writer, const PairTable& table) {
 
 void LoadPairTable(CheckpointReader* reader, PairTable* table) {
   table->Clear();
-  const uint64_t n = reader->ReadU64();
+  const uint64_t n = reader->ReadCount(16);
   for (uint64_t i = 0; i < n && reader->status().ok(); ++i) {
     const uint64_t key = static_cast<uint64_t>(reader->ReadI64());
     const ElementId value = static_cast<ElementId>(reader->ReadI64());

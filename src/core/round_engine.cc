@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/metrics.h"
@@ -23,8 +23,25 @@ constexpr uint32_t kEngineTag = CheckpointTag("ENG ");
 constexpr uint32_t kCacheTag = CheckpointTag("CACH");
 constexpr uint32_t kSourceTag = CheckpointTag("SRC ");
 
-// How many pairs ahead the serial memo walk prefetches its probe slot.
+// How many pairs ahead the memo walks prefetch their probe slot.
 constexpr size_t kPrefetchAhead = 16;
+
+// An executor-path miss holds its memo slot with a reservation while its
+// answer is pending: kFirstReservation - ordinal, where the ordinal is the
+// miss's position in the in-flight window (ResolveRound). Every
+// reservation sits below kUnresolvedWinner, so no winner or parking can be
+// read as one. The ordinal range is capped at the int32 value range.
+constexpr ElementId kFirstReservation = kUnresolvedWinner - 1;
+constexpr int64_t kMaxWindowMisses =
+    int64_t{kFirstReservation} - std::numeric_limits<ElementId>::min() + 1;
+
+ElementId ReservationOf(int64_t ordinal) {
+  return static_cast<ElementId>(kFirstReservation - ordinal);
+}
+
+int64_t OrdinalOf(ElementId reservation) {
+  return int64_t{kFirstReservation} - reservation;
+}
 
 // The serial-path tournament instrumentation AllPlayAll used to own: a
 // size observation per spanned unit. Recorded only where the pre-engine
@@ -34,16 +51,6 @@ void ObserveTournamentSize(int64_t size) {
   static Histogram* sizes = MetricsRegistry::Default()->GetHistogram(
       "crowdmax.tournament.group_size", ExponentialBounds(12));
   sizes->Observe(size);
-}
-
-// Non-pipelined executor rounds still pay the crowd round-trip: the engine
-// sleeps out whatever simulated latency the executor stack accumulated for
-// this round. A no-op with the latency model off (the default).
-void SleepOutLatency(BatchExecutor* executor) {
-  const int64_t micros = executor->TakeSimulatedLatencyMicros();
-  if (micros > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(micros));
-  }
 }
 
 void ObservePipelineDepth(int64_t in_flight) {
@@ -220,7 +227,8 @@ Result<std::string> RoundEngine::SerializeCheckpoint(
   writer.WriteI64(speculation_wasted_);
   writer.WriteRngState(seeder_.state());
   // At a clean boundary the cache holds winners and kUnresolvedWinner
-  // parkings only — never a -1 in-flight reservation.
+  // parkings only — never an in-flight reservation (RestoreCheckpoint
+  // refuses anything else).
   writer.WriteTag(kCacheTag);
   SavePairTable(&writer, *cache_);
   Status stack = comparator_ != nullptr ? comparator_->SaveState(&writer)
@@ -257,6 +265,22 @@ Status RoundEngine::RestoreCheckpoint(RoundSource* source,
   reader.ExpectTag(kCacheTag);
   LoadPairTable(&reader, cache_);
   if (!reader.status().ok()) return reader.status();
+  // A memo value is served as the pair's winner, and one below
+  // kUnresolvedWinner would read as an in-flight reservation: refuse any
+  // value that is neither an endpoint of its key nor the parking.
+  bool memo_valid = true;
+  cache_->ForEach([&memo_valid](uint64_t key, ElementId winner) {
+    memo_valid = memo_valid &&
+                 (winner == kUnresolvedWinner ||
+                  static_cast<uint64_t>(winner) == (key & 0xFFFFFFFFu) ||
+                  static_cast<uint64_t>(winner) == (key >> 32));
+  });
+  if (!memo_valid) {
+    cache_->Clear();
+    return Status::FailedPrecondition(
+        "checkpoint memo holds a value that is neither an endpoint of its "
+        "pair nor the unresolved parking");
+  }
   Status stack = comparator_ != nullptr ? comparator_->LoadState(&reader)
                                         : executor_->LoadState(&reader);
   if (!stack.ok()) return stack;
@@ -302,25 +326,12 @@ void RoundEngine::PruneMemo(const EngineRound& round) {
   ObserveMemo(before, pruned);
 }
 
-Result<RoundOutcome> RoundEngine::ExecuteRound(const EngineRound& round) {
-  switch (backend_) {
-    case Backend::kSerial:
-      return ExecuteSerial(round);
-    case Backend::kParallel:
-      return ExecuteParallel(round);
-    case Backend::kExecutor:
-      return ExecuteBatched(round);
-  }
-  return Status::Internal("unreachable");
-}
-
 Result<RoundOutcome> RoundEngine::ExecuteSerial(const EngineRound& round) {
   RoundOutcome out;
   out.winners.resize(round.units.size());
   const int64_t paid_before = comparator_->num_comparisons();
   AlgoTrace* trace = CurrentTrace();
-  VoteBatchComparator* batch =
-      batch_generation_ ? comparator_->AsVoteBatch() : nullptr;
+  VoteBatchComparator* batch = comparator_->AsVoteBatch();
 
   // Batch-path scratch, engine-owned and reused across units *and* rounds
   // (empty when batch == nullptr): steady-state rounds allocate nothing.
@@ -469,35 +480,20 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
     const std::unique_ptr<Comparator> fork =
         comparator_->Fork(seeds[static_cast<size_t>(u)]);
     CROWDMAX_CHECK(fork != nullptr);
-    VoteBatchComparator* batch =
-        batch_generation_ ? fork->AsVoteBatch() : nullptr;
+    VoteBatchComparator* batch = fork->AsVoteBatch();
 
     if (batch != nullptr) {
       // Batch-at-once unit execution on the fork. The per-call parallel
       // path treats the cache as a read-only snapshot and does NOT dedupe
       // within a unit (each repeat is a fresh paid draw — Venetis votes),
       // so the miss list is simply every pair absent from the snapshot,
-      // duplicates included, in pair order.
+      // duplicates included, in pair order. One probe per pair: hits are
+      // written at once, misses filled from the answers by position.
       winners.resize(unit.pairs.size());
       UnitScratch& scratch = unit_scratch_[static_cast<size_t>(u)];
       std::vector<ComparisonPair>& misses = scratch.misses;
       misses.clear();
-      misses.reserve(unit.pairs.size());
-      for (const ComparisonPair& pair : unit.pairs) {
-        const ElementId* slot =
-            memoize_
-                ? std::as_const(*cache_).Find(
-                      PackPairKey(pair.first, pair.second))
-                : nullptr;
-        if (slot == nullptr || *slot == kUnresolvedWinner) {
-          misses.push_back(pair);
-        }
-      }
-      std::vector<ElementId>& answers = scratch.answers;
-      answers.assign(misses.size(), -1);
-      const int64_t produced = batch->GenerateVotes(misses, answers);
-      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
-      size_t cursor = 0;
+      scratch.miss_at.clear();
       for (size_t p = 0; p < unit.pairs.size(); ++p) {
         const ComparisonPair& pair = unit.pairs[p];
         const ElementId* slot =
@@ -508,11 +504,19 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
         if (slot != nullptr && *slot != kUnresolvedWinner) {
           winners[p] = *slot;
         } else {
-          winners[p] = answers[cursor++];
+          misses.push_back(pair);
+          scratch.miss_at.push_back(p);
         }
-        CROWDMAX_DCHECK(winners[p] == pair.first || winners[p] == pair.second);
       }
-      CROWDMAX_CHECK(cursor == misses.size());
+      std::vector<ElementId>& answers = scratch.answers;
+      answers.assign(misses.size(), -1);
+      const int64_t produced = batch->GenerateVotes(misses, answers);
+      CROWDMAX_CHECK(produced == static_cast<int64_t>(misses.size()));
+      for (size_t m = 0; m < misses.size(); ++m) {
+        CROWDMAX_DCHECK(answers[m] == misses[m].first ||
+                        answers[m] == misses[m].second);
+        winners[scratch.miss_at[m]] = answers[m];
+      }
     } else {
       winners.reserve(unit.pairs.size());
       for (const ComparisonPair& pair : unit.pairs) {
@@ -565,96 +569,138 @@ Result<RoundOutcome> RoundEngine::ExecuteParallel(const EngineRound& round) {
   return out;
 }
 
-Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
+Status RoundEngine::ResolveRound(const EngineRound& round,
+                                 int64_t source_round_index,
+                                 RoundOutcome* out,
+                                 std::vector<ComparisonPair>* misses,
+                                 int64_t* base) {
   if (round.clear_round_cache) cache_->Clear();
-
-  RoundOutcome out;
-  out.winners.resize(round.units.size());
-  std::vector<ComparisonPair>& queries = round_queries_;
-  queries.clear();
-  queries.reserve(static_cast<size_t>(round.TotalPairs()));
-  for (const RoundUnit& unit : round.units) {
-    queries.insert(queries.end(), unit.pairs.begin(), unit.pairs.end());
+  if (window_rounds_ == 0) window_misses_ = 0;
+  if (window_misses_ + round.TotalPairs() > kMaxWindowMisses) {
+    return Status::ResourceExhausted(
+        "in-flight rounds would reserve more than 2^31 pairs; lower the "
+        "pipeline depth");
   }
-  out.issued = static_cast<int64_t>(queries.size());
-  issued_ += out.issued;
-  const int64_t paid_before = executor_->comparisons();
+  ++window_rounds_;
+  *base = window_misses_;
+  misses->clear();
+  out->winners.resize(round.units.size());
 
+  // One Insert per pair. winners[] takes the slot value whatever it is —
+  // an answer, or the reservation of this round's miss (its own or, for
+  // an in-round duplicate, its first occurrence's) that StoreRound swaps
+  // for the answer. A parking is bought again.
+  for (size_t u = 0; u < round.units.size(); ++u) {
+    const std::vector<ComparisonPair>& pairs = round.units[u].pairs;
+    std::vector<ElementId>& winners = out->winners[u];
+    winners.resize(pairs.size());
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      if (p + kPrefetchAhead < pairs.size()) {
+        const ComparisonPair& ahead = pairs[p + kPrefetchAhead];
+        cache_->Prefetch(PackPairKey(ahead.first, ahead.second));
+      }
+      const ComparisonPair& pair = pairs[p];
+      const uint64_t key = PackPairKey(pair.first, pair.second);
+      const int64_t next = *base + static_cast<int64_t>(misses->size());
+      bool fresh = false;
+      ElementId* slot = cache_->Insert(key, ReservationOf(next), &fresh);
+      if (fresh || *slot == kUnresolvedWinner) {
+        *slot = ReservationOf(next);
+        misses->push_back(pair);
+      } else if (*slot <= kFirstReservation &&
+                 (OrdinalOf(*slot) < *base || OrdinalOf(*slot) >= next)) {
+        StoreRound(*misses, *base, nullptr, out);
+        return Status::Internal(
+            "pipelined round depends on a pair still in flight (RoundPairKey " +
+            std::to_string(key) + " = {" + std::to_string(pair.first) + ", " +
+            std::to_string(pair.second) + "}, source round index " +
+            std::to_string(source_round_index) +
+            "); the RoundSource violated the CanPipelineNextRound "
+            "disjointness rule");
+      }
+      winners[p] = *slot;
+    }
+    out->issued += static_cast<int64_t>(pairs.size());
+  }
+  window_misses_ += static_cast<int64_t>(misses->size());
+  issued_ += out->issued;
+  if (const int64_t hits =
+          out->issued - static_cast<int64_t>(misses->size());
+      hits > 0) {
+    cache_hits_ += hits;
+    if (AlgoTrace* trace = CurrentTrace()) trace->RecordCacheHits(hits);
+  }
+  return Status::OK();
+}
+
+void RoundEngine::StoreRound(const std::vector<ComparisonPair>& misses,
+                             int64_t base,
+                             const std::vector<BatchTaskResult>* results,
+                             RoundOutcome* out) {
+  CROWDMAX_CHECK(results == nullptr || results->size() == misses.size());
+  miss_answers_.resize(misses.size());
+  for (size_t m = 0; m < misses.size(); ++m) {
+    ElementId winner = kUnresolvedWinner;
+    if (results != nullptr && (*results)[m].answered) {
+      winner = (*results)[m].winner;
+      CROWDMAX_DCHECK(winner == misses[m].first || winner == misses[m].second);
+    }
+    miss_answers_[m] = winner;
+    cache_->Set(PackPairKey(misses[m].first, misses[m].second), winner);
+  }
+  for (std::vector<ElementId>& winners : out->winners) {
+    for (ElementId& winner : winners) {
+      if (winner > kFirstReservation) continue;
+      winner = miss_answers_[static_cast<size_t>(OrdinalOf(winner) - base)];
+      if (winner == kUnresolvedWinner) ++out->unresolved;
+    }
+  }
+  --window_rounds_;
+}
+
+template <typename Dispatch>
+Status RoundEngine::SendRound(const EngineRound& round,
+                              int64_t source_round_index, RoundOutcome* out,
+                              std::vector<ComparisonPair>* misses,
+                              int64_t* base, Dispatch&& dispatch) {
   AlgoTrace* trace = CurrentTrace();
   int64_t span_id = -1;
   if (round.executor_span != nullptr && trace != nullptr) {
     span_id = trace->BeginSpan(TraceSpanKind::kBatch, round.executor_span);
   }
+  const int64_t paid_before = executor_->comparisons();
+  Status status = ResolveRound(round, source_round_index, out, misses, base);
+  if (status.ok()) {
+    status = dispatch();
+    if (!status.ok()) StoreRound(*misses, *base, nullptr, out);
+    out->paid_delta = executor_->comparisons() - paid_before;
+  }
+  if (span_id >= 0) trace->EndSpan(span_id);
+  return status;
+}
 
-  // Resolve through the cache, batching only the misses (including pairs
-  // left unresolved by an earlier faulty attempt). A duplicate query
-  // within one round is sent once: the first occurrence reserves its slot
-  // with -1, overwritten with the real winner (or parked kUnresolvedWinner)
-  // below.
-  std::vector<ComparisonPair>& misses = round_misses_;
-  misses.clear();
-  misses.reserve(queries.size());
-  for (const ComparisonPair& q : queries) {
-    const uint64_t key = PackPairKey(q.first, q.second);
-    ElementId* slot = cache_->Find(key);
-    if (slot == nullptr || *slot == kUnresolvedWinner) {
-      misses.push_back(q);
-      cache_->Set(key, -1);
-    }
+Result<RoundOutcome> RoundEngine::ExecuteBatched(const EngineRound& round) {
+  RoundOutcome out;
+  int64_t base = 0;
+  Status sent = SendRound(
+      round, -1, &out, &round_misses_, &base, [&]() -> Status {
+        Result<std::vector<BatchTaskResult>> results =
+            executor_->TryExecuteBatch(round_misses_);
+        // The non-pipelined drive sleeps out the simulated crowd round
+        // trip here, answered or not — a rejected submission still cost
+        // the latency. A no-op with the latency model off (the default).
+        std::this_thread::sleep_for(std::chrono::microseconds(
+            executor_->TakeSimulatedLatencyMicros()));
+        if (!results.ok()) return results.status();
+        StoreRound(round_misses_, base, &*results, &out);
+        return Status::OK();
+      });
+  if (!sent.ok()) {
+    // A transient executor fault reaches the source as a round of parked
+    // pairs; anything else aborts the drive.
+    if (sent.code() != StatusCode::kUnavailable) return sent;
+    out.fault = sent;
   }
-  if (const int64_t hits =
-          static_cast<int64_t>(queries.size() - misses.size());
-      hits > 0) {
-    cache_hits_ += hits;
-    if (trace != nullptr) trace->RecordCacheHits(hits);
-  }
-  Result<std::vector<BatchTaskResult>> results =
-      executor_->TryExecuteBatch(misses);
-  // The non-pipelined drive pays the simulated crowd round trip here,
-  // answered or not — a rejected submission still cost the latency.
-  SleepOutLatency(executor_);
-  if (!results.ok()) {
-    for (const ComparisonPair& m : misses) {
-      cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-    }
-    if (span_id >= 0) trace->EndSpan(span_id);
-    if (results.status().code() != StatusCode::kUnavailable) {
-      // Non-transient executor failure: abort the drive.
-      return results.status();
-    }
-    out.fault = results.status();
-  } else {
-    CROWDMAX_CHECK(results->size() == misses.size());
-    for (size_t i = 0; i < misses.size(); ++i) {
-      const BatchTaskResult& result = (*results)[i];
-      const uint64_t key = PackPairKey(misses[i].first, misses[i].second);
-      if (!result.answered) {
-        cache_->Set(key, kUnresolvedWinner);
-        continue;
-      }
-      CROWDMAX_DCHECK(result.winner == misses[i].first ||
-                      result.winner == misses[i].second);
-      cache_->Set(key, result.winner);
-    }
-    if (span_id >= 0) trace->EndSpan(span_id);
-  }
-
-  // Map the per-pair outcomes back onto the round's units. Every query
-  // was either cached, answered, or parked as unresolved above.
-  for (size_t u = 0; u < round.units.size(); ++u) {
-    const RoundUnit& unit = round.units[u];
-    std::vector<ElementId>& winners = out.winners[u];
-    winners.reserve(unit.pairs.size());
-    for (const ComparisonPair& pair : unit.pairs) {
-      const ElementId* slot =
-          cache_->Find(PackPairKey(pair.first, pair.second));
-      CROWDMAX_CHECK(slot != nullptr && *slot != -1);
-      if (*slot == kUnresolvedWinner) ++out.unresolved;
-      winners.push_back(*slot);
-    }
-  }
-
-  out.paid_delta = executor_->comparisons() - paid_before;
   return out;
 }
 
@@ -672,6 +718,10 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
       open_round_id = -1;
     }
   };
+  const auto fail = [&](Status status) -> Status {
+    close_round_span();
+    return status;
+  };
 
   // A staged restore rebuilds the whole run — engine counters, cache,
   // comparator/executor stack, source — before the first round, so the
@@ -686,10 +736,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
   while (true) {
     EngineRound round;
     Result<bool> more = source->NextRound(&round);
-    if (!more.ok()) {
-      close_round_span();
-      return more.status();
-    }
+    if (!more.ok()) return fail(more.status());
     if (!*more) break;
 
     // Budget gate, at the round boundary: a round whose worst case would
@@ -714,11 +761,11 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
     }
 
     PruneMemo(round);
-    Result<RoundOutcome> outcome = ExecuteRound(round);
-    if (!outcome.ok()) {
-      close_round_span();
-      return outcome.status();
-    }
+    Result<RoundOutcome> outcome =
+        backend_ == Backend::kSerial     ? ExecuteSerial(round)
+        : backend_ == Backend::kParallel ? ExecuteParallel(round)
+                                         : ExecuteBatched(round);
+    if (!outcome.ok()) return fail(outcome.status());
     ObserveMemo(cache_->size(), 0);
 
     // Comparator-backend cell recording at the round barrier: every paid
@@ -735,10 +782,7 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
 
     Status consumed = source->ConsumeOutcome(round, *outcome);
     if (close_round) close_round_span();
-    if (!consumed.ok()) {
-      close_round_span();
-      return consumed;
-    }
+    if (!consumed.ok()) return fail(consumed);
     ++drive.rounds_executed;
     // Clean round boundary: no open trace span, no outstanding work. The
     // controller may snapshot here (cadence) or kill the run (chaos plan);
@@ -756,8 +800,9 @@ Result<DriveResult> RoundEngine::Drive(RoundSource* source,
 
 // One pipelined round between submission and completion. `out` already
 // carries the submission-time halves (issued, paid_delta, cache hits
-// recorded); completion fills winners/unresolved/fault. A speculative
-// round sits in the window with only `round`, `handle` (an unconfirmed
+// recorded, hits written into winners); completion stores the answers and
+// fills the reserved winners, unresolved and fault. A speculative round
+// sits in the window with only `round`, `handle` (an unconfirmed
 // speculative handle) and `source_round_index` filled in — its
 // deterministic halves run at confirmation, when SubmitPipelined is
 // invoked on it a second time.
@@ -765,8 +810,9 @@ struct RoundEngine::PendingRound {
   EngineRound round;
   int64_t handle = -1;
   std::vector<ComparisonPair> misses;
+  /// Window ordinal of misses[0] (ResolveRound's reservation base).
+  int64_t base = 0;
   RoundOutcome out;
-  bool close_round = false;
   bool speculative = false;
   /// Emission ordinal of this round within the drive (rounds consumed +
   /// position in the in-flight window at emission), for diagnostics.
@@ -774,61 +820,6 @@ struct RoundEngine::PendingRound {
 };
 
 Status RoundEngine::SubmitPipelined(PendingRound* pending) {
-  const EngineRound& r = pending->round;
-  if (r.clear_round_cache) cache_->Clear();  // Drive drained first.
-
-  RoundOutcome& out = pending->out;
-  out.winners.resize(r.units.size());
-  std::vector<ComparisonPair>& queries = round_queries_;
-  queries.clear();
-  queries.reserve(static_cast<size_t>(r.TotalPairs()));
-  for (const RoundUnit& unit : r.units) {
-    queries.insert(queries.end(), unit.pairs.begin(), unit.pairs.end());
-  }
-  out.issued = static_cast<int64_t>(queries.size());
-  issued_ += out.issued;
-  const int64_t paid_before = executor_->comparisons();
-
-  AlgoTrace* trace = CurrentTrace();
-  int64_t span_id = -1;
-  if (r.executor_span != nullptr && trace != nullptr) {
-    span_id = trace->BeginSpan(TraceSpanKind::kBatch, r.executor_span);
-  }
-
-  // Cache resolution, exactly as ExecuteBatched — except that a -1
-  // reservation now marks a pair owned by a round still in flight. Seeing
-  // one that this round did not reserve itself means the source emitted a
-  // round overlapping an in-flight round: a CanPipelineNextRound contract
-  // violation, reported instead of silently racing on the answer.
-  std::unordered_set<uint64_t> reserved_here;
-  std::vector<ComparisonPair>& misses = pending->misses;
-  misses.reserve(queries.size());
-  for (const ComparisonPair& q : queries) {
-    const uint64_t key = PackPairKey(q.first, q.second);
-    ElementId* slot = cache_->Find(key);
-    if (slot != nullptr && *slot == -1 && reserved_here.count(key) == 0) {
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return Status::Internal(
-          "pipelined round depends on a pair still in flight (RoundPairKey " +
-          std::to_string(key) + " = {" + std::to_string(q.first) + ", " +
-          std::to_string(q.second) + "}, source round index " +
-          std::to_string(pending->source_round_index) +
-          "); the RoundSource violated the CanPipelineNextRound "
-          "disjointness rule");
-    }
-    if (slot == nullptr || *slot == kUnresolvedWinner) {
-      misses.push_back(q);
-      cache_->Set(key, -1);
-      reserved_here.insert(key);
-    }
-  }
-  if (const int64_t hits =
-          static_cast<int64_t>(queries.size() - misses.size());
-      hits > 0) {
-    cache_hits_ += hits;
-    if (trace != nullptr) trace->RecordCacheHits(hits);
-  }
-
   // Compute-at-submit: the adapter runs the inner executor synchronously
   // here (identical RNG draws, counters, transcript rows and trace cells
   // to the non-pipelined path) and banks only the latency. paid_delta is
@@ -838,73 +829,29 @@ Status RoundEngine::SubmitPipelined(PendingRound* pending) {
   // runs now — at the exact point the synchronous drive would have
   // submitted it — and the adapter back-dates the deadline to the
   // speculative start, which is the whole wall-clock win.
-  if (pending->handle >= 0) {
-    Status confirmed = async_->ConfirmBatch(pending->handle, misses);
-    if (!confirmed.ok()) {
-      for (const ComparisonPair& m : misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return confirmed;
-    }
-  } else {
-    Result<int64_t> handle = async_->SubmitBatchAsync(misses);
-    if (!handle.ok()) {
-      for (const ComparisonPair& m : misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
-      if (span_id >= 0) trace->EndSpan(span_id);
-      return handle.status();
-    }
-    pending->handle = *handle;
-  }
-  out.paid_delta = executor_->comparisons() - paid_before;
-  // The batch span closes at submission: the sync path emits no trace
-  // operation between the executor call returning and its span end, so
-  // the operation sequences match exactly.
-  if (span_id >= 0) trace->EndSpan(span_id);
-  return Status::OK();
+  return SendRound(
+      pending->round, pending->source_round_index, &pending->out,
+      &pending->misses, &pending->base, [&]() -> Status {
+        if (pending->handle >= 0) {
+          return async_->ConfirmBatch(pending->handle, pending->misses);
+        }
+        Result<int64_t> handle = async_->SubmitBatchAsync(pending->misses);
+        if (!handle.ok()) return handle.status();
+        pending->handle = *handle;
+        return Status::OK();
+      });
 }
 
 Status RoundEngine::CompletePipelined(PendingRound* pending) {
   Result<std::vector<BatchTaskResult>> results =
       async_->Wait(pending->handle);
-  RoundOutcome& out = pending->out;
+  StoreRound(pending->misses, pending->base,
+             results.ok() ? &*results : nullptr, &pending->out);
   if (!results.ok()) {
-    for (const ComparisonPair& m : pending->misses) {
-      cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-    }
     if (results.status().code() != StatusCode::kUnavailable) {
       return results.status();
     }
-    out.fault = results.status();
-  } else {
-    CROWDMAX_CHECK(results->size() == pending->misses.size());
-    for (size_t i = 0; i < pending->misses.size(); ++i) {
-      const BatchTaskResult& result = (*results)[i];
-      const uint64_t key = PackPairKey(pending->misses[i].first,
-                                       pending->misses[i].second);
-      if (!result.answered) {
-        cache_->Set(key, kUnresolvedWinner);
-        continue;
-      }
-      CROWDMAX_DCHECK(result.winner == pending->misses[i].first ||
-                      result.winner == pending->misses[i].second);
-      cache_->Set(key, result.winner);
-    }
-  }
-
-  for (size_t u = 0; u < pending->round.units.size(); ++u) {
-    const RoundUnit& unit = pending->round.units[u];
-    std::vector<ElementId>& winners = out.winners[u];
-    winners.reserve(unit.pairs.size());
-    for (const ComparisonPair& pair : unit.pairs) {
-      const ElementId* slot =
-          cache_->Find(PackPairKey(pair.first, pair.second));
-      CROWDMAX_CHECK(slot != nullptr && *slot != -1);
-      if (*slot == kUnresolvedWinner) ++out.unresolved;
-      winners.push_back(*slot);
-    }
+    pending->out.fault = results.status();
   }
   return Status::OK();
 }
@@ -924,7 +871,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     }
   };
   // Abort-path cleanup: park every in-flight round's misses so a shared
-  // cache is not left holding -1 reservations, and cancel the async
+  // cache is not left holding reservations, and cancel the async
   // handles — computed answers abandoned unconsumed are banked-answer
   // refunds the adapter accounts. Speculative rounds reserved nothing in
   // the cache and computed nothing, so cancellation alone unwinds them;
@@ -941,9 +888,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         aborted_speculation = true;
         continue;
       }
-      for (const ComparisonPair& m : pending->misses) {
-        cache_->Set(PackPairKey(m.first, m.second), kUnresolvedWinner);
-      }
+      StoreRound(pending->misses, pending->base, nullptr, &pending->out);
     }
     in_flight.clear();
     if (aborted_speculation) source->OnSpeculationAborted();
@@ -962,20 +907,39 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       return done;
     }
     Status consumed = source->ConsumeOutcome(pending->round, pending->out);
-    const bool close_round = pending->close_round;
+    const bool close_round = pending->round.close_round_executor;
     in_flight.pop_front();
     if (close_round) close_round_span();
     if (!consumed.ok()) return consumed;
     ++drive.rounds_executed;
     // Checkpoints only at fully-drained boundaries: nothing in flight and
     // no open trace span, so the serialized state has no half-submitted
-    // rounds or -1 cache reservations in it.
+    // rounds or cache reservations in it.
     if (checkpoint_ != nullptr && in_flight.empty() && open_round_id < 0) {
       Status boundary = checkpoint_->OnRoundBoundary(
           [&] { return SerializeCheckpoint(source, paid_start, drive); });
       if (!boundary.ok()) return boundary;
     }
     return Status::OK();
+  };
+  const auto drain = [&]() -> Status {
+    while (!in_flight.empty()) {
+      Status retired = complete_oldest();
+      if (!retired.ok()) return retired;
+    }
+    return Status::OK();
+  };
+  // Every error exit: unwind the window, then close the round span.
+  const auto fail = [&](Status status) -> Status {
+    abandon_in_flight();
+    close_round_span();
+    return status;
+  };
+  const auto push_in_flight = [&](std::unique_ptr<PendingRound> pending) {
+    in_flight.push_back(std::move(pending));
+    const int64_t depth = static_cast<int64_t>(in_flight.size());
+    if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;
+    ObservePipelineDepth(depth);
   };
 
   if (checkpoint_ != nullptr && checkpoint_->PendingRestore() != nullptr) {
@@ -1014,11 +978,7 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
           ++speculation_hits_;
           ++confirmed_rounds;
         }
-        if (!confirm_error.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return confirm_error;
-        }
+        if (!confirm_error.ok()) return fail(confirm_error);
         ObserveSpeculation(confirmed_rounds, 0, 0);
         continue;
       }
@@ -1029,17 +989,18 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
       // its emission bookkeeping back to consumed truth.
       int64_t wasted = 0;
       int64_t cancelled_rounds = 0;
-      std::unordered_set<uint64_t> would_buy;
+      PairTable would_buy;
       for (const auto& pending : in_flight) {
         CROWDMAX_CHECK(pending->speculative);
         for (const RoundUnit& unit : pending->round.units) {
           for (const ComparisonPair& pair : unit.pairs) {
             const uint64_t key = PackPairKey(pair.first, pair.second);
             const ElementId* slot = cache_->Find(key);
-            if ((slot == nullptr || *slot == kUnresolvedWinner) &&
-                would_buy.insert(key).second) {
-              ++wasted;
+            bool fresh = false;
+            if (slot == nullptr || *slot == kUnresolvedWinner) {
+              would_buy.Insert(key, 0, &fresh);
             }
+            if (fresh) ++wasted;
           }
         }
         async_->CancelBatch(pending->handle);  // unconfirmed: nothing banked
@@ -1069,17 +1030,14 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     const bool emit_firm =
         in_flight.empty() ||
         (!window_full && !tail_speculative && source->CanPipelineNextRound());
-    bool emit_speculative = !emit_firm && !window_full && allow_speculation &&
-                            source->CanSpeculateNextRound();
+    const bool emit_speculative = !emit_firm && !window_full &&
+                                  allow_speculation &&
+                                  source->CanSpeculateNextRound();
 
     if (emit_speculative) {
       EngineRound round;
       Result<bool> offered = source->SpeculateNextRound(&round);
-      if (!offered.ok()) {
-        abandon_in_flight();
-        close_round_span();
-        return offered.status();
-      }
+      if (!offered.ok()) return fail(offered.status());
       if (*offered) {
         // Speculative rounds may not open round spans or clear the cache:
         // both are effects of the synchronous schedule, which this round
@@ -1088,47 +1046,30 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
         CROWDMAX_CHECK(!round.clear_round_cache);
         auto pending = std::make_unique<PendingRound>();
         pending->speculative = true;
-        pending->close_round = round.close_round_executor;
         pending->source_round_index =
             drive.rounds_executed + static_cast<int64_t>(in_flight.size());
         pending->round = std::move(round);
         Result<int64_t> handle = async_->SubmitSpeculativeBatch();
-        if (!handle.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return handle.status();
-        }
+        if (!handle.ok()) return fail(handle.status());
         pending->handle = *handle;
-        in_flight.push_back(std::move(pending));
+        push_in_flight(std::move(pending));
         ++speculative_rounds_;
         ++overlapped_rounds_;  // a speculative round overlaps by definition
-        const int64_t depth = static_cast<int64_t>(in_flight.size());
-        if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;
-        ObservePipelineDepth(depth);
         continue;
       }
-      emit_speculative = false;  // declined after all: fall through to retire
     }
 
     // Retire the oldest round whenever the pipeline is full or the source
-    // needs an outcome before it can emit again.
+    // needs an outcome (or declined to speculate) before it can emit again.
     if (!emit_firm) {
       Status retired = complete_oldest();
-      if (!retired.ok()) {
-        abandon_in_flight();
-        close_round_span();
-        return retired;
-      }
+      if (!retired.ok()) return fail(retired);
       continue;
     }
 
     EngineRound round;
     Result<bool> more = source->NextRound(&round);
-    if (!more.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return more.status();
-    }
+    if (!more.ok()) return fail(more.status());
     if (!*more) break;
 
     // Budget gate: paid() is already final for every submitted round
@@ -1137,14 +1078,8 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     // hears about the stop, preserving its callback order.
     if (options.max_comparisons > 0 &&
         (paid() - paid_start) + round.TotalPairs() > options.max_comparisons) {
-      while (!in_flight.empty()) {
-        Status retired = complete_oldest();
-        if (!retired.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return retired;
-        }
-      }
+      Status drained = drain();
+      if (!drained.ok()) return fail(drained);
       drive.stopped_by_budget = true;
       source->OnBudgetStop();
       break;
@@ -1156,14 +1091,8 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     // CanPipelineNextRound already forced a drain, so this loop is a no-op
     // for them.)
     if (round.clear_round_cache || round.live_items != nullptr) {
-      while (!in_flight.empty()) {
-        Status retired = complete_oldest();
-        if (!retired.ok()) {
-          abandon_in_flight();
-          close_round_span();
-          return retired;
-        }
-      }
+      Status drained = drain();
+      if (!drained.ok()) return fail(drained);
     }
 
     if (round.open_round_executor > 0 && trace != nullptr) {
@@ -1174,32 +1103,18 @@ Result<DriveResult> RoundEngine::DrivePipelined(RoundSource* source,
     PruneMemo(round);
 
     auto pending = std::make_unique<PendingRound>();
-    pending->close_round = round.close_round_executor;
     pending->source_round_index =
         drive.rounds_executed + static_cast<int64_t>(in_flight.size());
     pending->round = std::move(round);
     Status submitted = SubmitPipelined(pending.get());
-    if (!submitted.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return submitted;
-    }
-    in_flight.push_back(std::move(pending));
+    if (!submitted.ok()) return fail(submitted);
+    push_in_flight(std::move(pending));
     ObserveMemo(cache_->size(), 0);
     if (overlapped) ++overlapped_rounds_;
-    const int64_t depth = static_cast<int64_t>(in_flight.size());
-    if (depth > max_in_flight_observed_) max_in_flight_observed_ = depth;
-    ObservePipelineDepth(depth);
   }
 
-  while (!in_flight.empty()) {
-    Status retired = complete_oldest();
-    if (!retired.ok()) {
-      abandon_in_flight();
-      close_round_span();
-      return retired;
-    }
-  }
+  Status drained = drain();
+  if (!drained.ok()) return fail(drained);
   close_round_span();
   return drive;
 }

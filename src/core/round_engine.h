@@ -24,11 +24,14 @@
 //    per-match forks in the Venetis ladder; seeded runs are bit-identical
 //    for any thread count.
 //  - kExecutor: the whole round's cache misses go to a BatchExecutor as
-//    one fallible batch. Faulted pairs are parked as kUnresolvedWinner in
-//    the cache (re-issued on the next resolve) and surface to the source
-//    as no-evidence outcomes, so partial-result semantics (no eviction
-//    without evidence) stay with the algorithm while retry/quorum live in
-//    the executor stack.
+//    one fallible batch, either inline (CreateBatched) or through an
+//    AsyncBatchExecutor with rounds overlapping (CreatePipelined). Both
+//    run the same two halves: ResolveRound probes the memo once per pair
+//    and reserves each miss, StoreRound writes each answer once. Faulted
+//    pairs are parked as kUnresolvedWinner in the cache (re-issued on the
+//    next resolve) and surface to the source as no-evidence outcomes, so
+//    partial-result semantics (no eviction without evidence) stay with the
+//    algorithm while retry/quorum live in the executor stack.
 //
 // Trace shape stays backend-specific on purpose (the pre-engine paths
 // differed, and seeded traces must stay bit-identical): RoundUnit carries
@@ -55,6 +58,7 @@ namespace crowdmax {
 
 class BatchExecutor;
 class AsyncBatchExecutor;
+struct BatchTaskResult;
 class CheckpointController;
 class CheckpointReader;
 class CheckpointWriter;
@@ -391,15 +395,6 @@ class RoundEngine {
   }
   CheckpointController* checkpoint() const { return checkpoint_; }
 
-  /// Batch-at-once vote generation (DESIGN.md §14): when enabled (the
-  /// default) and the comparator (or its forks) exposes AsVoteBatch(), the
-  /// comparator backends collect each unit's cache misses and answer them
-  /// with one GenerateVotes call instead of per-pair virtual dispatch.
-  /// Results, counters, caches and traces are bit-identical either way;
-  /// disable to force the per-call path (equivalence tests, baselines).
-  void set_batch_generation(bool enabled) { batch_generation_ = enabled; }
-  bool batch_generation() const { return batch_generation_; }
-
  private:
   struct PendingRound;
 
@@ -413,23 +408,46 @@ class RoundEngine {
   /// clears the cache anyway.
   void PruneMemo(const EngineRound& round);
 
-  Result<RoundOutcome> ExecuteRound(const EngineRound& round);
   Result<RoundOutcome> ExecuteSerial(const EngineRound& round);
   Result<RoundOutcome> ExecuteParallel(const EngineRound& round);
   Result<RoundOutcome> ExecuteBatched(const EngineRound& round);
 
+  /// Resolve half of every executor round, synchronous or pipelined:
+  /// probes each pair once, writes hits into out->winners, and reserves a
+  /// memo slot for each miss (appended to `misses`) with a value naming the
+  /// miss's ordinal in the in-flight window, starting at `*base`. An
+  /// in-round duplicate counts as a hit on its first occurrence; a pair
+  /// reserved by an earlier in-flight round is a kInternal contract
+  /// violation. Also books issued, cache hits and the cache-hit trace cell.
+  Status ResolveRound(const EngineRound& round, int64_t source_round_index,
+                      RoundOutcome* out, std::vector<ComparisonPair>* misses,
+                      int64_t* base);
+  /// Store half: writes each miss's answer, or a kUnresolvedWinner parking
+  /// when `results` is null (a failed batch) or the task came back
+  /// unanswered, into the memo once, then swaps every reservation in
+  /// out->winners for its miss's answer and counts out->unresolved.
+  void StoreRound(const std::vector<ComparisonPair>& misses, int64_t base,
+                  const std::vector<BatchTaskResult>* results,
+                  RoundOutcome* out);
+  /// The frame around both halves: batch span, ResolveRound, `dispatch`
+  /// (the executor call), paid_delta. A failed resolve or dispatch leaves
+  /// every miss parked. No trace operation falls between the executor call
+  /// and the span end on either drive, so their sequences match.
+  template <typename Dispatch>
+  Status SendRound(const EngineRound& round, int64_t source_round_index,
+                   RoundOutcome* out, std::vector<ComparisonPair>* misses,
+                   int64_t* base, Dispatch&& dispatch);
+
   Result<DriveResult> DrivePipelined(RoundSource* source,
                                      const DriveOptions& options);
   /// Submission half of a pipelined round (pending->round already set):
-  /// cache resolution, batch span, accounting, async dispatch. All
-  /// counter/trace mutation for the round happens here, in submission
-  /// order. For a speculative round being confirmed (pending->handle
-  /// already issued) the same body runs at confirmation time — the exact
-  /// program point where the synchronous drive would have submitted it —
-  /// and dispatches through ConfirmBatch instead.
+  /// SendRound with an async dispatch, so all counter/trace mutation for
+  /// the round happens here, in submission order. A speculative round
+  /// being confirmed (pending->handle already issued) runs the same body
+  /// at confirmation time — where the synchronous drive would have
+  /// submitted it — and dispatches through ConfirmBatch instead.
   Status SubmitPipelined(PendingRound* pending);
-  /// Completion half: waits out the round's latency, stores the answers,
-  /// and maps them back onto the round's units.
+  /// Completion half: waits out the round's latency, then StoreRound.
   Status CompletePipelined(PendingRound* pending);
 
   /// Serializes one checkpoint: drive progress (`paid_start`, rounds), the
@@ -459,8 +477,10 @@ class RoundEngine {
   PairTable owned_cache_;
   // PruneMemo scratch: live_mark_[id] != 0 for the declared live ids.
   std::vector<uint8_t> live_mark_;
-
-  bool batch_generation_ = true;
+  // The in-flight reservation window: executor rounds resolved but not yet
+  // stored, and the next miss ordinal (restarts at 0 when none are).
+  int64_t window_rounds_ = 0;
+  int64_t window_misses_ = 0;
 
   // Parallel backend: the pool and the persistent fork seeder (one chain
   // across all rounds, so seeded runs replay bit-identically).
@@ -486,6 +506,7 @@ class RoundEngine {
   // slot, so the buffers stay fork-local and race-free.
   struct UnitScratch {
     std::vector<ComparisonPair> misses;
+    std::vector<size_t> miss_at;  // pair index per miss
     std::vector<ElementId> answers;
   };
   std::vector<ComparisonPair> serial_misses_;
@@ -494,8 +515,8 @@ class RoundEngine {
   std::vector<ElementId> serial_answers_;
   std::vector<std::pair<size_t, const ElementId*>> serial_deferred_;
   std::vector<UnitScratch> unit_scratch_;
-  std::vector<ComparisonPair> round_queries_;
   std::vector<ComparisonPair> round_misses_;
+  std::vector<ElementId> miss_answers_;
 
   // Round-boundary snapshot/crash/restore coordinator; null = disabled.
   CheckpointController* checkpoint_ = nullptr;

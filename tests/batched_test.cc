@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/async_executor.h"
 #include "core/batched.h"
 #include "core/comparator.h"
 #include "core/instance.h"
+#include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 #include "platform/platform.h"
@@ -290,6 +292,48 @@ TEST(BatchedExpertMaxTest, RunsOnTheCrowdPlatform) {
   // Platform logical steps equal executor batches exactly.
   EXPECT_EQ((*platform)->logical_steps(),
             result->naive_steps + result->expert_steps);
+}
+
+// The pipelined Phase 1 reaches the same Algorithm-1 body as the batched
+// entry point: over a stochastic crowd with pipeline_groups on, every
+// result, counter and trace cell matches at depth 1 and 8.
+TEST(BatchedExpertMaxTest, PipelinedPhaseOneMatchesBatched) {
+  Result<Instance> instance = UniformInstance(600, /*seed=*/71);
+  ASSERT_TRUE(instance.ok());
+  ExpertMaxOptions options;
+  options.filter.u_n = 6;
+  options.filter.memoize = true;
+  options.filter.pipeline_groups = true;
+  const ThresholdModel naive_model{instance->DeltaForU(6), 0.1};
+  const ThresholdModel expert_model{instance->DeltaForU(2), 0.05};
+
+  // depth 0 = BatchedFindMaxWithExperts.
+  const auto run = [&](int64_t depth) {
+    ThresholdComparator naive(&*instance, naive_model, /*seed=*/72);
+    ThresholdComparator expert(&*instance, expert_model, /*seed=*/73);
+    ComparatorBatchExecutor naive_exec(&naive);
+    ComparatorBatchExecutor expert_exec(&expert);
+    AsyncBatchAdapter async(&naive_exec);
+    AlgoTrace trace;
+    ScopedTrace scoped(&trace);
+    Result<BatchedExpertMaxResult> result =
+        depth == 0 ? BatchedFindMaxWithExperts(instance->AllElements(),
+                                               &naive_exec, &expert_exec,
+                                               options)
+                   : PipelinedFindMaxWithExperts(
+                         instance->AllElements(), &async, &expert_exec,
+                         options, BatchedPipelineOptions{depth});
+    CROWDMAX_CHECK(result.ok());
+    return std::make_tuple(result->result.best, result->result.candidates,
+                           result->result.paid.naive,
+                           result->result.paid.expert,
+                           result->result.issued.naive, result->naive_steps,
+                           result->expert_steps, trace.Summary());
+  };
+  const auto batched = run(0);
+  for (int64_t depth : {int64_t{1}, int64_t{8}}) {
+    EXPECT_EQ(run(depth), batched) << "depth=" << depth;
+  }
 }
 
 TEST(BatchedTopKTest, MatchesSequentialAndCountsSteps) {

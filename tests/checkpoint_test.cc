@@ -163,6 +163,31 @@ TEST(CheckpointFormatTest, TruncationLatchesStickyError) {
   EXPECT_FALSE(reader.Finish().ok());
 }
 
+// Length prefixes larger than the bytes left — up to the full 64-bit
+// range, where an unchecked `pos + n` would wrap — latch the typed
+// truncation error and read as empty; nothing is allocated for them.
+TEST(CheckpointFormatTest, OversizedLengthsLatchTruncation) {
+  for (const uint64_t length :
+       {uint64_t{9}, uint64_t{1} << 61, ~uint64_t{0}}) {
+    CheckpointWriter writer;
+    writer.WriteU64(length);
+    writer.WriteI64(7);  // 8 bytes: one id or 8 chars, not `length`.
+    Result<CheckpointReader> opened = CheckpointReader::Open(writer.bytes());
+    ASSERT_TRUE(opened.ok());
+    CheckpointReader strings = *opened;
+    EXPECT_EQ(strings.ReadString(), "") << length;
+    EXPECT_EQ(strings.status().code(), StatusCode::kFailedPrecondition);
+    CheckpointReader ids = *opened;
+    std::vector<int32_t> narrow;
+    ids.ReadIdVector(&narrow);
+    EXPECT_TRUE(narrow.empty()) << length;
+    EXPECT_EQ(ids.status().code(), StatusCode::kFailedPrecondition);
+    CheckpointReader wide = *opened;
+    EXPECT_TRUE(wide.ReadIdVector().empty()) << length;
+    EXPECT_NE(wide.status().message().find("truncated"), std::string::npos);
+  }
+}
+
 TEST(CheckpointFormatTest, FinishFlagsTrailingBytes) {
   CheckpointWriter writer;
   writer.WriteI64(1);
@@ -350,15 +375,24 @@ TEST(CheckpointGoldenTest, CommittedGoldenStillRestores) {
             baseline_comparator.num_comparisons());
 }
 
+// Byte offsets of fields in a checkpoint of the golden run.
+struct GoldenOffsets {
+  size_t first_memo_value = 0;   // value of the first CACH entry
+  size_t first_loss_key = 0;     // first loss-counter key of the filter
+  size_t candidates_length = 0;  // length word of the filter's candidates
+};
+
 // Re-encodes `bytes` (a checkpoint of the golden run) field by field up to
-// the first loss-counter key of the filter section and returns that key's
-// byte offset: the re-encoding's length at that point. The re-encoded
-// prefix must equal the original, which pins the walk to the real layout.
-size_t FirstLossKeyOffset(const GoldenRun& run, const std::string& bytes) {
+// the filter's candidates and records the offsets of the fields the
+// corruption tests overwrite: the re-encoding's length at each. The
+// re-encoded prefix must equal the original, which pins the walk to the
+// real layout.
+GoldenOffsets WalkGolden(const GoldenRun& run, const std::string& bytes) {
   Result<CheckpointReader> opened = CheckpointReader::Open(bytes);
   CROWDMAX_CHECK(opened.ok());
   CheckpointReader reader = std::move(opened).value();
   CheckpointWriter writer;
+  GoldenOffsets offsets;
   const auto copy_tag = [&] { writer.WriteTag(reader.ReadU32()); };
   const auto copy_i64 = [&](int count) {
     for (int i = 0; i < count; ++i) writer.WriteI64(reader.ReadI64());
@@ -370,9 +404,11 @@ size_t FirstLossKeyOffset(const GoldenRun& run, const std::string& bytes) {
   copy_i64(10);
   writer.WriteRngState(reader.ReadRngState());
   copy_tag();  // CACH
+  offsets.first_memo_value = writer.bytes().size() + 16;  // count, key
   PairTable memo;
   LoadPairTable(&reader, &memo);
   SavePairTable(&writer, memo);
+  CROWDMAX_CHECK(memo.size() > 0);
   OracleComparator comparator(&run.instance);
   CROWDMAX_CHECK(comparator.LoadState(&reader).ok());
   CROWDMAX_CHECK(comparator.SaveState(&writer).ok());
@@ -391,8 +427,21 @@ size_t FirstLossKeyOffset(const GoldenRun& run, const std::string& bytes) {
   const uint64_t losers = reader.ReadU64();
   writer.WriteU64(losers);
   CROWDMAX_CHECK(reader.status().ok() && losers > 0);
+  offsets.first_loss_key = writer.bytes().size();
+  for (uint64_t l = 0; l < losers; ++l) {
+    copy_i64(1);  // key
+    const uint64_t count = reader.ReadU64();
+    writer.WriteU64(count);
+    copy_i64(static_cast<int>(count));
+  }
+  offsets.candidates_length = writer.bytes().size();
+  CROWDMAX_CHECK(reader.status().ok());
   CROWDMAX_CHECK(bytes.compare(0, writer.bytes().size(), writer.bytes()) == 0);
-  return writer.bytes().size();
+  return offsets;
+}
+
+size_t FirstLossKeyOffset(const GoldenRun& run, const std::string& bytes) {
+  return WalkGolden(run, bytes).first_loss_key;
 }
 
 void OverwriteI64(std::string* bytes, size_t offset, int64_t value) {
@@ -431,6 +480,90 @@ TEST(CheckpointGoldenTest, CorruptLossCounterIdsRefusedTyped) {
           << resumed.status().ToString();
       EXPECT_EQ(controller.restores(), 0);
     }
+  }
+}
+
+std::string ReadGoldenBytes() {
+  std::ifstream in(GoldenPath());
+  CROWDMAX_CHECK(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  Result<std::string> golden = CheckpointFromHex(buffer.str());
+  CROWDMAX_CHECK(golden.ok());
+  return *golden;
+}
+
+// Resumes the golden run from `bytes` on a fresh stack.
+Result<FilterEngineRun> ResumeGoldenRun(const GoldenRun& run,
+                                        const std::string& bytes,
+                                        CheckpointController* controller) {
+  OracleComparator comparator(&run.instance);
+  std::unique_ptr<RoundEngine> engine =
+      RoundEngine::CreateSerial(&comparator, /*memoize=*/true);
+  controller->ResumeFrom(bytes);
+  engine->set_checkpoint(controller);
+  return RunFilterOnEngine(run.items, run.options, engine.get());
+}
+
+// A corrupted length word must not drive an allocation: the reader bounds
+// it by the bytes left and latches the typed truncation error, and the
+// process lives to report it.
+TEST(CheckpointGoldenTest, CorruptCandidatesLengthRefusedTyped) {
+  const std::string golden = ReadGoldenBytes();
+  const GoldenRun run = MakeGoldenRun();
+  std::string bytes = golden;
+  OverwriteI64(&bytes, WalkGolden(run, golden).candidates_length,
+               int64_t{1} << 61);
+  CheckpointController controller;
+  Result<FilterEngineRun> resumed = ResumeGoldenRun(run, bytes, &controller);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+      << resumed.status().ToString();
+  EXPECT_NE(resumed.status().ToString().find("truncated"), std::string::npos)
+      << resumed.status().ToString();
+  EXPECT_EQ(controller.restores(), 0);
+}
+
+// A restored memo value is served as its pair's winner, so anything but
+// an endpoint of the pair or the unresolved parking is refused — notably
+// values below kUnresolvedWinner, which would read as in-flight
+// reservations.
+TEST(CheckpointGoldenTest, CorruptMemoValueRefusedTyped) {
+  const std::string golden = ReadGoldenBytes();
+  const GoldenRun run = MakeGoldenRun();
+  const size_t value_at = WalkGolden(run, golden).first_memo_value;
+  uint64_t key = 0;
+  for (int i = 0; i < 8; ++i) {
+    key |= static_cast<uint64_t>(
+               static_cast<unsigned char>(golden[value_at - 8 + i]))
+           << (8 * i);
+  }
+  ElementId outsider = 0;
+  while (static_cast<uint64_t>(outsider) == (key & 0xFFFFFFFFu) ||
+         static_cast<uint64_t>(outsider) == (key >> 32)) {
+    ++outsider;
+  }
+  for (const int64_t bad : {int64_t{outsider}, int64_t{-1}, int64_t{-3},
+                            int64_t{-1000}}) {
+    std::string bytes = golden;
+    OverwriteI64(&bytes, value_at, bad);
+    CheckpointController controller;
+    Result<FilterEngineRun> resumed = ResumeGoldenRun(run, bytes, &controller);
+    ASSERT_FALSE(resumed.ok()) << "value " << bad;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+        << resumed.status().ToString();
+    EXPECT_EQ(controller.restores(), 0);
+  }
+  // The parking and both endpoints stay accepted.
+  for (const int64_t good : {int64_t{kUnresolvedWinner},
+                             static_cast<int64_t>(key & 0xFFFFFFFFu),
+                             static_cast<int64_t>(key >> 32)}) {
+    std::string bytes = golden;
+    OverwriteI64(&bytes, value_at, good);
+    CheckpointController controller;
+    Result<FilterEngineRun> resumed = ResumeGoldenRun(run, bytes, &controller);
+    EXPECT_TRUE(resumed.ok()) << "value " << good << ": "
+                              << resumed.status().ToString();
   }
 }
 

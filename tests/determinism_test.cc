@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -703,6 +704,30 @@ TEST(DeterminismDeathTest, MemoizingComparatorForkCheckFails) {
   EXPECT_DEATH_IF_SUPPORTED((void)memo.Fork(1), "not thread-safe");
 }
 
+// Forwards every comparison to `inner` but hides its batch interface, so
+// an engine driving it takes the per-call path. Forks wrap the inner
+// comparator's forks the same way.
+class PerCallComparator : public Comparator {
+ public:
+  explicit PerCallComparator(Comparator* inner) : inner_(inner) {}
+  explicit PerCallComparator(std::unique_ptr<Comparator> owned)
+      : owned_(std::move(owned)), inner_(owned_.get()) {}
+
+  std::unique_ptr<Comparator> Fork(uint64_t seed) const override {
+    std::unique_ptr<Comparator> fork = inner_->Fork(seed);
+    if (fork == nullptr) return nullptr;
+    return std::make_unique<PerCallComparator>(std::move(fork));
+  }
+
+ private:
+  ElementId DoCompare(ElementId a, ElementId b) override {
+    return inner_->Compare(a, b);
+  }
+
+  std::unique_ptr<Comparator> owned_;
+  Comparator* inner_;
+};
+
 // The engine's batch vote generation (DESIGN.md §14) is an internal
 // optimization: with it on or off, a full filter run over a stochastic
 // worker must be bit-identical — candidates, rounds, paid/issued counts,
@@ -725,20 +750,25 @@ TEST(DeterminismTest, BatchGenerationBitIdenticalToPerCall) {
   };
   auto run_once = [&](int64_t threads, bool batch_generation) {
     ThresholdComparator cmp(&instance, model, /*seed=*/4711);
+    PerCallComparator per_call(&cmp);
+    Comparator* driven = batch_generation ? static_cast<Comparator*>(&cmp)
+                                          : &per_call;
     std::unique_ptr<RoundEngine> engine;
     if (threads == 0) {
-      engine = RoundEngine::CreateSerial(&cmp, options.memoize);
+      engine = RoundEngine::CreateSerial(driven, options.memoize);
     } else {
       Result<std::unique_ptr<RoundEngine>> parallel =
-          RoundEngine::CreateParallel(&cmp, threads, /*seed=*/4712,
+          RoundEngine::CreateParallel(driven, threads, /*seed=*/4712,
                                       options.memoize);
       CROWDMAX_CHECK(parallel.ok());
       engine = std::move(parallel).value();
     }
-    engine->set_batch_generation(batch_generation);
     Result<FilterEngineRun> run =
         RunFilterOnEngine(instance.AllElements(), options, engine.get());
     CROWDMAX_CHECK(run.ok());
+    // The parallel engine merges its forks' paid counts into the comparator
+    // it drives; fold them through the wrapper into `cmp` too.
+    cmp.AddComparisons(driven->num_comparisons() - cmp.num_comparisons());
     CheckpointWriter writer;
     CROWDMAX_CHECK(cmp.SaveState(&writer).ok());
     return BatchRun{*std::move(run), engine->cache_hits(), writer.Take()};

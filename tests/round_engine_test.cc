@@ -13,8 +13,10 @@
 //    logical_steps) and the backend guard rails (Fork probing,
 //    SupportsPartialEvidence).
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,9 @@
 #include "core/maxfind.h"
 #include "core/resilient.h"
 #include "core/round_engine.h"
+#include "core/pair_key.h"
 #include "core/tournament.h"
+#include "core/trace.h"
 #include "core/worker_model.h"
 #include "datasets/instances.h"
 
@@ -547,6 +551,221 @@ TEST(PipelinedEngineTest, OverlapCountersObserveDepth) {
     EXPECT_GT((*engine)->max_in_flight_observed(), 1);
     EXPECT_LE((*engine)->max_in_flight_observed(), 8);
   }
+}
+
+// --- one resolve/store path for both executor drives ---------------------
+
+// A round as its units' pair lists.
+using ScriptedRound = std::vector<std::vector<ComparisonPair>>;
+
+// Emits scripted logical phases of pairwise-disjoint engine rounds. Rounds
+// inside a phase may ride in flight together (CanPipelineNextRound); a
+// phase boundary is a barrier. Each phase is one trace round span, each
+// engine round one batch span. Logs every outcome it consumes.
+class ScriptedRoundSource : public RoundSource {
+ public:
+  struct Consumed {
+    std::vector<std::vector<ElementId>> winners;
+    int64_t unresolved = 0;
+    StatusCode fault = StatusCode::kOk;
+  };
+
+  explicit ScriptedRoundSource(std::vector<std::vector<ScriptedRound>> phases)
+      : phases_(std::move(phases)) {}
+
+  Result<bool> NextRound(EngineRound* round) override {
+    if (phase_ >= phases_.size()) return false;
+    const std::vector<ScriptedRound>& rounds = phases_[phase_];
+    for (const std::vector<ComparisonPair>& pairs : rounds[index_]) {
+      RoundUnit unit;
+      unit.pairs = pairs;
+      round->units.push_back(std::move(unit));
+    }
+    round->executor_span = "scripted";
+    if (index_ == 0) round->open_round_executor = int64_t(phase_) + 1;
+    round->close_round_executor = index_ + 1 == rounds.size();
+    if (++index_ == rounds.size()) {
+      ++phase_;
+      index_ = 0;
+    }
+    return true;
+  }
+
+  Status ConsumeOutcome(const EngineRound&,
+                        const RoundOutcome& outcome) override {
+    log_.push_back({outcome.winners, outcome.unresolved, outcome.fault.code()});
+    return Status::OK();
+  }
+
+  bool CanPipelineNextRound() const override { return index_ != 0; }
+
+  const std::vector<Consumed>& log() const { return log_; }
+
+ private:
+  std::vector<std::vector<ScriptedRound>> phases_;
+  size_t phase_ = 0;
+  size_t index_ = 0;
+  std::vector<Consumed> log_;
+};
+
+// Answers each task with its larger id, except that the first submission
+// of `drop` comes back unanswered and submission number `outage` fails
+// whole with a transient kUnavailable. Logs every task it is sent.
+class ScriptedExecutor : public BatchExecutor {
+ public:
+  ScriptedExecutor(ComparisonPair drop, int64_t outage)
+      : drop_(drop), outage_(outage) {}
+
+  const std::vector<ComparisonPair>& sent() const { return sent_; }
+
+ private:
+  std::vector<ElementId> DoExecuteBatch(
+      const std::vector<ComparisonPair>& tasks) override {
+    std::vector<ElementId> winners;
+    for (const ComparisonPair& task : tasks) {
+      winners.push_back(std::max(task.first, task.second));
+    }
+    return winners;
+  }
+
+  Result<std::vector<BatchTaskResult>> DoTryExecuteBatch(
+      const std::vector<ComparisonPair>& tasks) override {
+    sent_.insert(sent_.end(), tasks.begin(), tasks.end());
+    if (submissions_++ == outage_) {
+      return Status::Unavailable("scripted outage");
+    }
+    std::vector<BatchTaskResult> results;
+    for (const ComparisonPair& task : tasks) {
+      if (task == drop_ && !dropped_) {
+        dropped_ = true;
+        results.push_back(BatchTaskResult{-1, false, -1});
+      } else {
+        results.push_back(
+            BatchTaskResult{std::max(task.first, task.second), true, -1});
+      }
+    }
+    return results;
+  }
+
+  const ComparisonPair drop_;
+  const int64_t outage_;
+  int64_t submissions_ = 0;
+  bool dropped_ = false;
+  std::vector<ComparisonPair> sent_;
+};
+
+struct ScriptedRun {
+  std::vector<ScriptedRoundSource::Consumed> log;
+  int64_t issued = 0;
+  int64_t paid = 0;
+  int64_t cache_hits = 0;
+  int64_t logical_steps = 0;
+  int64_t max_in_flight_observed = 0;
+  std::string trace;
+  std::vector<std::pair<uint64_t, ElementId>> cache;
+  std::vector<ComparisonPair> sent;
+};
+
+// Drives the script on CreateBatched (depth 0) or CreatePipelined(depth)
+// over a fresh executor and a shared cache seeded with one answer,
+// (16, 17), and one unresolved parking, (18, 19).
+ScriptedRun RunScript(int64_t depth) {
+  const std::vector<std::vector<ScriptedRound>> phases = {
+      // In-round duplicate (0, 1) across units; (16, 17) hits the shared
+      // cache; (4, 5) is dropped; the parked (18, 19) is bought again.
+      {{{{0, 1}, {2, 3}}, {{0, 1}, {16, 17}}},
+       {{{4, 5}, {6, 7}}},
+       {{{8, 9}, {18, 19}}}},
+      // The dropped pair is bought again and (0, 1) hits; the second
+      // round's submission (the fifth) meets the outage.
+      {{{{4, 5}, {0, 1}, {10, 11}}},
+       {{{12, 13}}, {{14, 15}}},
+       {{{20, 21}}}},
+      // The outage's pairs are bought again; (2, 3) hits.
+      {{{{12, 13}, {14, 15}, {2, 3}}}},
+  };
+  SharedPairCache cache;
+  cache.ForClass(0)->Set(PackPairKey(16, 17), 17);
+  cache.ForClass(0)->Set(PackPairKey(18, 19), kUnresolvedWinner);
+  ScriptedExecutor executor({4, 5}, /*outage=*/4);
+  AsyncBatchAdapter async(&executor);
+  Result<std::unique_ptr<RoundEngine>> engine =
+      depth == 0 ? RoundEngine::CreateBatched(&executor, &cache, 0)
+                 : RoundEngine::CreatePipelined(&async, depth, &cache, 0);
+  CROWDMAX_CHECK(engine.ok());
+
+  ScriptedRoundSource source(phases);
+  AlgoTrace trace;
+  {
+    ScopedTrace scoped(&trace);
+    Result<DriveResult> drive = (*engine)->Drive(&source);
+    CROWDMAX_CHECK(drive.ok());
+  }
+  ScriptedRun run;
+  run.log = source.log();
+  run.issued = (*engine)->issued();
+  run.paid = (*engine)->paid();
+  run.cache_hits = (*engine)->cache_hits();
+  run.logical_steps = (*engine)->logical_steps();
+  run.max_in_flight_observed = (*engine)->max_in_flight_observed();
+  std::ostringstream json;
+  trace.WriteJson(json);
+  run.trace = json.str();
+  run.cache = cache.ForClass(0)->SortedEntries();
+  run.sent = executor.sent();
+  return run;
+}
+
+TEST(ExecutorRoundPathTest, BatchedAndPipelinedShareResolveAndStore) {
+  const ScriptedRun batched = RunScript(/*depth=*/0);
+
+  // The script exercises what it claims to.
+  ASSERT_EQ(batched.log.size(), 7u);
+  EXPECT_EQ(std::count(batched.sent.begin(), batched.sent.end(),
+                       ComparisonPair{0, 1}),
+            1)
+      << "the in-round duplicate must reach the executor once";
+  EXPECT_EQ(batched.log[0].winners,
+            (std::vector<std::vector<ElementId>>{{1, 3}, {1, 17}}));
+  EXPECT_EQ(batched.log[1].unresolved, 1);  // (4, 5) dropped
+  EXPECT_EQ(batched.log[1].winners[0][0], kUnresolvedWinner);
+  EXPECT_EQ(batched.log[2].winners[0][1], 19);  // parking bought again
+  EXPECT_EQ(batched.log[3].winners[0][0], 5);   // dropped pair bought again
+  EXPECT_EQ(batched.log[4].fault, StatusCode::kUnavailable);
+  EXPECT_EQ(batched.log[4].unresolved, 2);
+  EXPECT_EQ(batched.log[6].winners,
+            (std::vector<std::vector<ElementId>>{{13, 15, 3}}));
+  // Hits: the duplicate, the shared (16, 17), (0, 1) again, (2, 3).
+  EXPECT_EQ(batched.cache_hits, 4);
+  EXPECT_EQ(batched.issued, 17);
+  // Every miss is paid except the two the outage rejected.
+  EXPECT_EQ(batched.paid, batched.issued - batched.cache_hits - 2);
+  for (const auto& [key, winner] : batched.cache) {
+    EXPECT_NE(winner, kUnresolvedWinner) << "key " << key;
+  }
+
+  for (int64_t depth : {int64_t{1}, int64_t{8}}) {
+    const ScriptedRun piped = RunScript(depth);
+    ASSERT_EQ(piped.log.size(), batched.log.size()) << "depth=" << depth;
+    for (size_t r = 0; r < batched.log.size(); ++r) {
+      EXPECT_EQ(piped.log[r].winners, batched.log[r].winners)
+          << "depth=" << depth << " round " << r;
+      EXPECT_EQ(piped.log[r].unresolved, batched.log[r].unresolved)
+          << "depth=" << depth << " round " << r;
+      EXPECT_EQ(piped.log[r].fault, batched.log[r].fault)
+          << "depth=" << depth << " round " << r;
+    }
+    EXPECT_EQ(piped.issued, batched.issued) << "depth=" << depth;
+    EXPECT_EQ(piped.paid, batched.paid) << "depth=" << depth;
+    EXPECT_EQ(piped.cache_hits, batched.cache_hits) << "depth=" << depth;
+    EXPECT_EQ(piped.logical_steps, batched.logical_steps)
+        << "depth=" << depth;
+    EXPECT_EQ(piped.trace, batched.trace) << "depth=" << depth;
+    EXPECT_EQ(piped.cache, batched.cache) << "depth=" << depth;
+    EXPECT_EQ(piped.sent, batched.sent) << "depth=" << depth;
+  }
+  EXPECT_GT(RunScript(/*depth=*/8).max_in_flight_observed, 1)
+      << "the depth-8 drive must overlap the in-phase rounds";
 }
 
 TEST(RoundEngineGuardTest, ParallelCreationProbesFork) {
