@@ -1,6 +1,7 @@
 #include "core/batched.h"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -258,34 +259,64 @@ Status ParallelBatchExecutor::DoLoadState(CheckpointReader* reader) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched and pipelined adapters: one body per algorithm creates an
-// executor-backed RoundEngine through a Route, drives the shared
-// RoundSource and translates the engine run into the Batched* result
-// shape; a Batched* function and its Pipelined* twin differ only in the
-// Route. The round loops, caches, budget gates and fault semantics all
-// live in core/round_engine.cc and the sources in filter_phase.cc /
-// maxfind.cc / tournament.cc.
+// One body per algorithm: each creates a RoundEngine through a Route,
+// drives the shared RoundSource and translates the engine run into the
+// Batched* result shape. The sequential, Batched* and Pipelined* entry
+// points of an algorithm differ only in the Route. The round loops, caches,
+// budget gates and fault semantics all live in core/round_engine.cc and the
+// sources in filter_phase.cc / maxfind.cc / tournament.cc.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// One worker class's way to the crowd: its synchronous executor, plus the
-// async front end and pipeline depth when its rounds are pipelined. The
-// executor is the one that keeps the accounting either way (async->inner()),
-// so it is also where the FaultReport comes from.
+// One worker class's way to the crowd. The executor form keeps its
+// synchronous executor, plus the async front end and pipeline depth when
+// its rounds are pipelined; the executor is the one that keeps the
+// accounting either way (async->inner()), so it is also where the
+// FaultReport comes from. The comparator form builds a serial engine, or a
+// parallel one at threads >= 1, with the memo, thread and seed knobs the
+// sequential functions read from their options.
 struct Route {
   BatchExecutor* executor = nullptr;
   AsyncBatchExecutor* async = nullptr;
   int64_t max_in_flight = 1;
+  Comparator* comparator = nullptr;
+  bool memoize = false;
+  int64_t threads = 0;
+  uint64_t seed = 0;
 
   static Route Batched(BatchExecutor* executor) { return {executor}; }
   static Route Pipelined(AsyncBatchExecutor* async, int64_t max_in_flight) {
     return {async != nullptr ? async->inner() : nullptr, async,
             max_in_flight};
   }
+  static Route Sequential(Comparator* comparator,
+                          const FilterOptions& filter = {}) {
+    return {nullptr,        nullptr,        1,
+            comparator,     filter.memoize, filter.threads,
+            filter.parallel_seed};
+  }
+
+  // This route for a Phase-2 solver: a comparator route runs serially (the
+  // max-finders never forked) and memoizes per `memo`; an executor route
+  // always dedups within the run.
+  Route Serial(bool memo) const {
+    Route route = *this;
+    route.memoize = memo;
+    route.threads = 0;
+    return route;
+  }
 
   Result<std::unique_ptr<RoundEngine>> Engine(SharedPairCache* cache,
                                               int64_t cache_class) const {
+    if (comparator != nullptr && threads >= 1) {
+      return RoundEngine::CreateParallel(comparator, threads, seed, memoize,
+                                         cache, cache_class);
+    }
+    if (comparator != nullptr) {
+      return RoundEngine::CreateSerial(comparator, memoize, cache,
+                                       cache_class);
+    }
     if (async == nullptr) {
       return RoundEngine::CreateBatched(executor, cache, cache_class);
     }
@@ -296,6 +327,7 @@ struct Route {
 
 // Copies `route`'s FaultReport into `*report` when its executor keeps one.
 void CollectFaults(const Route& route, bool* has_report, FaultReport* report) {
+  if (route.executor == nullptr) return;
   if (const FaultReport* faults = route.executor->fault_report()) {
     *has_report = true;
     *report = *faults;
@@ -311,21 +343,19 @@ void MergePartial(bool partial, const Status& fault, bool* out_partial,
   if (out_fault->ok()) *out_fault = fault;
 }
 
-// Folds an all-play-all run that left pairs without evidence into a
-// result's partial state: its transient fault, or an Unavailable naming
-// the unresolved count. `what` and `consequence` word the message.
-void MergeTournamentPartial(const TournamentEngineRun& run, const char* what,
-                            const char* consequence, bool* out_partial,
-                            Status* out_fault) {
-  if (run.unresolved == 0 && run.fault.ok()) return;
-  MergePartial(true,
-               run.fault.ok()
-                   ? Status::Unavailable(std::string(what) + " left " +
-                                         std::to_string(run.unresolved) +
-                                         " comparisons unresolved; " +
-                                         consequence)
-                   : run.fault,
-               out_partial, out_fault);
+// A comparator engine has no executor underneath to attribute an expert
+// phase's comparisons, so the whole phase is one trace cell (round -1):
+// every paid comparison came back answered, and the issued-minus-paid
+// remainder was served by the memo (DESIGN.md §9). Executor engines record
+// their own cells.
+void RecordComparatorPhaseCell(const RoundEngine& engine) {
+  AlgoTrace* trace = CurrentTrace();
+  if (trace == nullptr || engine.SupportsPartialEvidence()) return;
+  trace->RecordDispatched(engine.paid());
+  trace->RecordOutcomes(engine.paid(), 0, 0);
+  if (engine.issued() > engine.paid()) {
+    trace->RecordCacheHits(engine.issued() - engine.paid());
+  }
 }
 
 Result<BatchedFilterResult> FilterBody(const std::vector<ElementId>& items,
@@ -347,40 +377,103 @@ Result<BatchedFilterResult> FilterBody(const std::vector<ElementId>& items,
   return out;
 }
 
-Result<BatchedMaxFindResult> TwoMaxFindBody(
-    const std::vector<ElementId>& items, const Route& route,
-    const TwoMaxFindEngineOptions& engine_options,
-    SharedPairCache* shared_cache, int64_t cache_class) {
-  Result<std::unique_ptr<RoundEngine>> engine =
-      route.Engine(shared_cache, cache_class);
-  if (!engine.ok()) return engine.status();
+// One Phase-2 solver run over the candidates: Algorithm 1's phase 2 and
+// the multilevel cascade's final class. `two_maxfind` carries 2-MaxFind's
+// memo switch and the phase's evidence cache; the pipelining shape only
+// matters to an engine that overlaps rounds.
+struct Phase2Plan {
+  Phase2Algorithm algorithm = Phase2Algorithm::kTwoMaxFind;
+  TwoMaxFindOptions two_maxfind = {};
+  RandomizedMaxFindOptions randomized = {};
+  bool speculate = false;
+  int64_t chunk_pairs = 0;
+};
+
+// The one switch over Phase2Algorithm, inside the "expert" phase span.
+// `tally`, when set, receives an all-play-all's wins (top-k ranks by them).
+Result<BatchedMaxFindResult> Phase2Body(const std::vector<ElementId>& items,
+                                        const Route& route,
+                                        const Phase2Plan& plan,
+                                        TournamentResult* tally = nullptr) {
+  // The randomized solver runs unmemoized by design and never shares
+  // evidence; the all-play-all asks each pair once, so only a shared cache
+  // memoizes it.
+  const bool randomized = plan.algorithm == Phase2Algorithm::kRandomized;
+  Result<std::unique_ptr<RoundEngine>> created =
+      route
+          .Serial(plan.algorithm == Phase2Algorithm::kTwoMaxFind &&
+                  plan.two_maxfind.memoize)
+          .Engine(randomized ? nullptr : plan.two_maxfind.shared_cache,
+                  plan.two_maxfind.cache_class);
+  if (!created.ok()) return created.status();
+  RoundEngine* engine = created->get();
 
   TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<MaxFindEngineRun> run =
-      RunTwoMaxFindOnEngine(items, engine->get(), engine_options);
-  if (!run.ok()) return run.status();
-
   BatchedMaxFindResult out;
-  out.maxfind = run->maxfind;
-  out.partial = run->partial;
-  out.fault_status = run->fault_status;
-  out.survivors = std::move(run->survivors);
-  out.logical_steps = (*engine)->logical_steps();
+  switch (plan.algorithm) {
+    case Phase2Algorithm::kTwoMaxFind:
+    case Phase2Algorithm::kRandomized: {
+      Result<MaxFindEngineRun> run =
+          randomized ? RunRandomizedMaxFindOnEngine(items, engine,
+                                                    plan.randomized)
+                     : RunTwoMaxFindOnEngine(
+                           items, engine,
+                           TwoMaxFindEngineOptions{plan.speculate});
+      if (!run.ok()) return run.status();
+      out.maxfind = run->maxfind;
+      out.partial = run->partial;
+      out.fault_status = run->fault_status;
+      out.survivors = std::move(run->survivors);
+      break;
+    }
+    case Phase2Algorithm::kAllPlayAll: {
+      Result<TournamentEngineRun> run = RunTournamentOnEngine(
+          items, engine, "all_play_all",
+          TournamentEngineOptions{plan.chunk_pairs});
+      if (!run.ok()) return run.status();
+      out.maxfind.best = items[IndexOfMostWins(run->tournament)];
+      out.maxfind.issued_comparisons = run->tournament.comparisons;
+      // Mispredicted speculative spend stays on the engine's wasted
+      // counter, never in the paid total (DESIGN.md §15).
+      out.maxfind.paid_comparisons =
+          engine->paid() - engine->speculation_wasted();
+      if (run->unresolved > 0 || !run->fault.ok()) {
+        // A pair without evidence awards no win: the ranking is provisional.
+        out.partial = true;
+        out.fault_status =
+            !run->fault.ok()
+                ? run->fault
+                : Status::Unavailable(
+                      "expert tournament left " +
+                      std::to_string(run->unresolved) +
+                      " comparisons unresolved; the ranking is provisional");
+        out.survivors = items;
+      }
+      if (tally != nullptr) *tally = std::move(run->tournament);
+      break;
+    }
+  }
+  out.logical_steps = engine->logical_steps();
+  RecordComparatorPhaseCell(*engine);
   return out;
 }
 
 Result<BatchedExpertMaxResult> ExpertMaxBody(
     const std::vector<ElementId>& items, const Route& naive,
-    const Route& expert, const ExpertMaxOptions& options) {
+    const Route& expert, const ExpertMaxOptions& options,
+    const char* run_label) {
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_expert_max");
+  TraceSpanScope run_span(TraceSpanKind::kRun, run_label);
 
   FilterOptions filter_options = options.filter;
+  Phase2Plan plan{options.phase2, options.two_maxfind, options.randomized};
   if (options.shared_cache != nullptr) {
     filter_options.shared_cache = options.shared_cache;
     filter_options.cache_class = options.naive_cache_class;
+    plan.two_maxfind.shared_cache = options.shared_cache;
+    plan.two_maxfind.cache_class = options.expert_cache_class;
   }
   Result<BatchedFilterResult> filtered =
       FilterBody(items, filter_options, naive);
@@ -405,8 +498,7 @@ Result<BatchedExpertMaxResult> ExpertMaxBody(
   // evicts without a counted loss, so the maximum is still among the
   // (possibly oversized) survivor set and the experts can finish the job.
   Result<BatchedMaxFindResult> phase2 =
-      TwoMaxFindBody(out.result.candidates, expert, {}, options.shared_cache,
-                     options.expert_cache_class);
+      Phase2Body(out.result.candidates, expert, plan);
   if (!phase2.ok()) return phase2.status();
 
   out.result.best = phase2->maxfind.best;
@@ -422,7 +514,8 @@ Result<BatchedExpertMaxResult> ExpertMaxBody(
 
 Result<BatchedTopKResult> TopKBody(const std::vector<ElementId>& items,
                                    const Route& naive, const Route& expert,
-                                   const TopKOptions& options) {
+                                   const TopKOptions& options,
+                                   const char* run_label) {
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
@@ -432,7 +525,8 @@ Result<BatchedTopKResult> TopKBody(const std::vector<ElementId>& items,
   if (options.filter.u_n < 1) {
     return Status::InvalidArgument("u_n must be >= 1");
   }
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_topk");
+  std::optional<TraceSpanScope> run_span;  // None for the sequential call.
+  if (run_label != nullptr) run_span.emplace(TraceSpanKind::kRun, run_label);
 
   // Phase 1 with the inflated blind spot u' = u_n + k - 1 so every true
   // top-k element survives (see core/topk.h).
@@ -464,43 +558,40 @@ Result<BatchedTopKResult> TopKBody(const std::vector<ElementId>& items,
   // order. A partial filter only enlarges the candidate set, so the
   // tournament still ranks the true top-k. Against a shared cache, pairs
   // an earlier expert-class run already resolved are answered for free.
-  Result<std::unique_ptr<RoundEngine>> engine =
-      expert.Engine(options.shared_cache, options.expert_cache_class);
-  if (!engine.ok()) return engine.status();
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<TournamentEngineRun> tournament = RunTournamentOnEngine(
-      out.result.candidates, engine->get(), "all_play_all",
-      TournamentEngineOptions{options.expert_chunk_pairs});
-  if (!tournament.ok()) return tournament.status();
-
-  // Mispredicted speculative spend stays on the engine's wasted counter,
-  // never in the per-class paid totals (DESIGN.md §15).
-  out.result.paid.expert = (*engine)->paid() - (*engine)->speculation_wasted();
-  out.expert_steps = (*engine)->logical_steps();
-  MergeTournamentPartial(*tournament, "expert tournament",
-                         "the order is provisional", &out.partial,
-                         &out.fault_status);
+  Phase2Plan plan{Phase2Algorithm::kAllPlayAll};
+  plan.two_maxfind = {false, options.shared_cache, options.expert_cache_class};
+  plan.chunk_pairs = options.expert_chunk_pairs;
+  TournamentResult tally;
+  Result<BatchedMaxFindResult> phase2 =
+      Phase2Body(out.result.candidates, expert, plan, &tally);
+  if (!phase2.ok()) return phase2.status();
+  out.result.paid.expert = phase2->maxfind.paid_comparisons;
+  out.expert_steps = phase2->logical_steps;
+  MergePartial(phase2->partial, phase2->fault_status, &out.partial,
+               &out.fault_status);
   CollectFaults(expert, &out.has_expert_faults, &out.expert_faults);
 
-  std::vector<ElementId> ranked =
-      OrderByWins(out.result.candidates, tournament->tournament);
+  std::vector<ElementId> ranked = OrderByWins(out.result.candidates, tally);
   ranked.resize(static_cast<size_t>(options.k));
   out.result.top = std::move(ranked);
   return out;
 }
 
-// `Spec` is BatchedWorkerClassSpec or PipelinedWorkerClassSpec; `route_of`
-// maps one to its Route.
+// `Spec` is WorkerClassSpec, BatchedWorkerClassSpec or
+// PipelinedWorkerClassSpec; `route_of` maps one to its Route.
 template <typename Spec, typename RouteOf>
 Result<BatchedMultilevelResult> MultilevelBody(
     const std::vector<ElementId>& items, const std::vector<Spec>& classes,
-    RouteOf route_of, const MultilevelOptions& options) {
+    RouteOf route_of, const MultilevelOptions& options,
+    const char* run_label) {
   if (classes.empty()) {
     return Status::InvalidArgument("at least one worker class is required");
   }
   for (const Spec& spec : classes) {
-    if (route_of(spec).executor == nullptr) {
-      return Status::InvalidArgument("worker class has null executor");
+    if (const Route route = route_of(spec);
+        route.executor == nullptr && route.comparator == nullptr) {
+      return Status::InvalidArgument(
+          "worker class has a null comparator or executor");
     }
     if (spec.cost_per_comparison < 0.0) {
       return Status::InvalidArgument("cost_per_comparison must be >= 0");
@@ -509,7 +600,8 @@ Result<BatchedMultilevelResult> MultilevelBody(
   if (items.empty()) {
     return Status::InvalidArgument("input set must be non-empty");
   }
-  TraceSpanScope run_span(TraceSpanKind::kRun, "batched_multilevel");
+  std::optional<TraceSpanScope> run_span;  // None for the sequential call.
+  if (run_label != nullptr) run_span.emplace(TraceSpanKind::kRun, run_label);
 
   BatchedMultilevelResult out;
   out.result.paid_per_class.assign(classes.size(), 0);
@@ -546,44 +638,23 @@ Result<BatchedMultilevelResult> MultilevelBody(
     }
   }
 
-  // Final level: phase-2 max-finding with the most expert class's
-  // executor, through the same engine.
+  // Final level: phase-2 max-finding with the most expert class, through
+  // the same solver switch as Algorithm 1.
   const size_t last = classes.size() - 1;
-  Result<std::unique_ptr<RoundEngine>> engine =
-      route_of(classes[last])
-          .Engine(options.shared_cache, static_cast<int64_t>(last));
-  if (!engine.ok()) return engine.status();
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  switch (options.final_phase) {
-    case Phase2Algorithm::kTwoMaxFind:
-    case Phase2Algorithm::kRandomized: {
-      Result<MaxFindEngineRun> run =
-          options.final_phase == Phase2Algorithm::kTwoMaxFind
-              ? RunTwoMaxFindOnEngine(
-                    current, engine->get(),
-                    TwoMaxFindEngineOptions{options.final_speculate})
-              : RunRandomizedMaxFindOnEngine(current, engine->get(),
-                                             options.randomized);
-      if (!run.ok()) return run.status();
-      out.result.best = run->maxfind.best;
-      MergePartial(run->partial, run->fault_status, &out.partial,
-                   &out.fault_status);
-      break;
-    }
-    case Phase2Algorithm::kAllPlayAll: {
-      Result<TournamentEngineRun> run = RunTournamentOnEngine(
-          current, engine->get(), "all_play_all",
-          TournamentEngineOptions{options.final_chunk_pairs});
-      if (!run.ok()) return run.status();
-      out.result.best = current[IndexOfMostWins(run->tournament)];
-      MergeTournamentPartial(*run, "final tournament", "best is provisional",
-                             &out.partial, &out.fault_status);
-      break;
-    }
+  Phase2Plan plan{options.final_phase, options.two_maxfind, options.randomized,
+                  options.final_speculate, options.final_chunk_pairs};
+  if (options.shared_cache != nullptr) {
+    plan.two_maxfind.shared_cache = options.shared_cache;
+    plan.two_maxfind.cache_class = static_cast<int64_t>(last);
   }
-  out.result.paid_per_class[last] =
-      (*engine)->paid() - (*engine)->speculation_wasted();
-  out.steps_per_class[last] = (*engine)->logical_steps();
+  Result<BatchedMaxFindResult> phase2 =
+      Phase2Body(current, route_of(classes[last]), plan);
+  if (!phase2.ok()) return phase2.status();
+  out.result.best = phase2->maxfind.best;
+  out.result.paid_per_class[last] = phase2->maxfind.paid_comparisons;
+  out.steps_per_class[last] = phase2->logical_steps;
+  MergePartial(phase2->partial, phase2->fault_status, &out.partial,
+               &out.fault_status);
 
   for (size_t i = 0; i < classes.size(); ++i) {
     out.result.total_cost +=
@@ -594,6 +665,16 @@ Result<BatchedMultilevelResult> MultilevelBody(
 }
 
 }  // namespace
+
+Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
+                                      const FilterOptions& options,
+                                      Comparator* naive) {
+  CROWDMAX_CHECK(naive != nullptr);
+  Result<BatchedFilterResult> run =
+      FilterBody(items, options, Route::Sequential(naive, options));
+  if (!run.ok()) return run.status();
+  return std::move(run->filter);
+}
 
 Result<BatchedFilterResult> BatchedFilterCandidates(
     const std::vector<ElementId>& items, const FilterOptions& options,
@@ -619,8 +700,9 @@ Result<BatchedMaxFindResult> BatchedTwoMaxFind(
     const std::vector<ElementId>& items, BatchExecutor* executor,
     SharedPairCache* shared_cache, int64_t cache_class) {
   CROWDMAX_CHECK(executor != nullptr);
-  return TwoMaxFindBody(items, Route::Batched(executor), {}, shared_cache,
-                        cache_class);
+  Phase2Plan plan;
+  plan.two_maxfind = {true, shared_cache, cache_class};
+  return Phase2Body(items, Route::Batched(executor), plan);
 }
 
 Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
@@ -633,8 +715,24 @@ Result<BatchedMaxFindResult> PipelinedTwoMaxFind(
     shared_cache = pipeline.shared_cache;
     cache_class = pipeline.cache_class;
   }
-  return TwoMaxFindBody(items, Route::Pipelined(async, pipeline.max_in_flight),
-                        engine_options, shared_cache, cache_class);
+  Phase2Plan plan;
+  plan.two_maxfind = {true, shared_cache, cache_class};
+  plan.speculate = engine_options.speculate;
+  return Phase2Body(items, Route::Pipelined(async, pipeline.max_in_flight),
+                    plan);
+}
+
+Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
+                                           Comparator* naive,
+                                           Comparator* expert,
+                                           const ExpertMaxOptions& options) {
+  CROWDMAX_CHECK(naive != nullptr);
+  CROWDMAX_CHECK(expert != nullptr);
+  Result<BatchedExpertMaxResult> run =
+      ExpertMaxBody(items, Route::Sequential(naive, options.filter),
+                    Route::Sequential(expert), options, "expert_max");
+  if (!run.ok()) return run.status();
+  return std::move(run->result);
 }
 
 Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
@@ -643,7 +741,7 @@ Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
   CROWDMAX_CHECK(naive != nullptr);
   CROWDMAX_CHECK(expert != nullptr);
   return ExpertMaxBody(items, Route::Batched(naive), Route::Batched(expert),
-                       options);
+                       options, "batched_expert_max");
 }
 
 Result<BatchedExpertMaxResult> PipelinedFindMaxWithExperts(
@@ -653,7 +751,19 @@ Result<BatchedExpertMaxResult> PipelinedFindMaxWithExperts(
   CROWDMAX_CHECK(naive != nullptr);
   CROWDMAX_CHECK(expert != nullptr);
   return ExpertMaxBody(items, Route::Pipelined(naive, pipeline.max_in_flight),
-                       Route::Batched(expert), options);
+                       Route::Batched(expert), options, "batched_expert_max");
+}
+
+Result<TopKResult> FindTopKWithExperts(const std::vector<ElementId>& items,
+                                       Comparator* naive, Comparator* expert,
+                                       const TopKOptions& options) {
+  CROWDMAX_CHECK(naive != nullptr);
+  CROWDMAX_CHECK(expert != nullptr);
+  Result<BatchedTopKResult> run =
+      TopKBody(items, Route::Sequential(naive, options.filter),
+               Route::Sequential(expert), options, nullptr);
+  if (!run.ok()) return run.status();
+  return std::move(run->result);
 }
 
 Result<BatchedTopKResult> BatchedFindTopKWithExperts(
@@ -662,7 +772,7 @@ Result<BatchedTopKResult> BatchedFindTopKWithExperts(
   CROWDMAX_CHECK(naive != nullptr);
   CROWDMAX_CHECK(expert != nullptr);
   return TopKBody(items, Route::Batched(naive), Route::Batched(expert),
-                  options);
+                  options, "batched_topk");
 }
 
 Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
@@ -674,7 +784,22 @@ Result<BatchedTopKResult> PipelinedFindTopKWithExperts(
   // The per-class cache wiring lives in `options`; pipeline.shared_cache
   // would force both classes into one cache class and is ignored.
   return TopKBody(items, Route::Pipelined(naive, pipeline.max_in_flight),
-                  Route::Pipelined(expert, pipeline.max_in_flight), options);
+                  Route::Pipelined(expert, pipeline.max_in_flight), options,
+                  "batched_topk");
+}
+
+Result<MultilevelResult> FindMaxMultilevel(
+    const std::vector<ElementId>& items,
+    const std::vector<WorkerClassSpec>& classes,
+    const MultilevelOptions& options) {
+  Result<BatchedMultilevelResult> run = MultilevelBody(
+      items, classes,
+      [&options](const WorkerClassSpec& spec) {
+        return Route::Sequential(spec.comparator, options.filter_template);
+      },
+      options, nullptr);
+  if (!run.ok()) return run.status();
+  return std::move(run->result);
 }
 
 Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
@@ -686,7 +811,7 @@ Result<BatchedMultilevelResult> BatchedFindMaxMultilevel(
       [](const BatchedWorkerClassSpec& spec) {
         return Route::Batched(spec.executor);
       },
-      options);
+      options, "batched_multilevel");
 }
 
 Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
@@ -701,7 +826,7 @@ Result<BatchedMultilevelResult> PipelinedFindMaxMultilevel(
       [&pipeline](const PipelinedWorkerClassSpec& spec) {
         return Route::Pipelined(spec.async, pipeline.max_in_flight);
       },
-      options);
+      options, "batched_multilevel");
 }
 
 }  // namespace crowdmax

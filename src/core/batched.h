@@ -8,28 +8,30 @@
 // algorithm (monetary cost is the comparison count; latency is the step
 // count).
 //
-// The sequential algorithms in filter_phase.h / maxfind.h issue one
-// comparison at a time through a Comparator; the Batched* variants here
-// drive the very same RoundSources (core/round_engine.h) on an
-// executor-backed engine, so every independent comparison of a round goes
-// to a BatchExecutor as one batch and the logical-step counts reflect the
-// true round structure: Algorithm 2 runs in O(log n) steps, 2-MaxFind in
-// O(sqrt(s)) steps. Results are identical to the sequential versions
-// whenever worker answers are consistent per pair (memoization/persistent
-// ties). This file owns the executor stack (the crowd-side abstraction)
-// and the thin Batched* adapters; the round loop itself lives in
-// RoundEngine and nowhere else.
-//
-// Whether a round's crowd trip overlaps the next round is a property of
-// how the batch is sent, not of the algorithm, so each Pipelined* function
-// reaches the same body as its Batched* twin: only the engine it builds
-// (CreateBatched or CreatePipelined) differs, and the FaultReport is read
-// from the executor that keeps the accounting (AsyncBatchExecutor::inner()
-// for a pipelined class). Both engines resolve and store their rounds
-// through the same two halves (RoundEngine::ResolveRound / StoreRound), so
-// a Pipelined* run's results, counters and traces are bit-identical to its
-// Batched* twin over the same executor stack; only wall clock (and the
-// engine's speculation counters) differ.
+// How a step's batch reaches the crowd is a property of the route, not of
+// the algorithm, so the filter and each two-phase algorithm (Algorithm 1,
+// top-k, the multilevel cascade) have one body in batched.cc that drives
+// the shared RoundSources (core/round_engine.h) on an engine built from the
+// caller's route:
+//  - comparator: the sequential entry points (FilterCandidates,
+//    FindMaxWithExperts, FindTopKWithExperts, FindMaxMultilevel) send each
+//    round's comparisons one at a time through a Comparator — serially, or
+//    on the parallel engine at FilterOptions::threads >= 1;
+//  - executor: the Batched* functions send every independent comparison of
+//    a round to a BatchExecutor as one batch, so the logical-step counts
+//    reflect the true round structure: Algorithm 2 runs in O(log n) steps,
+//    2-MaxFind in O(sqrt(s)) steps;
+//  - async: each Pipelined* function builds CreatePipelined in place of
+//    CreateBatched and reads the FaultReport from the executor that keeps
+//    the accounting (AsyncBatchExecutor::inner()).
+// Both executor engines resolve and store rounds through the same two
+// halves (RoundEngine::ResolveRound / StoreRound), so a Pipelined* run's
+// results, counters and traces are bit-identical to its Batched* twin; only
+// wall clock (and the speculation counters) differ. Results on every route
+// agree whenever worker answers are consistent per pair (memoization /
+// persistent ties). This file also owns the executor stack (the crowd-side
+// abstraction); the round loop itself lives in RoundEngine and nowhere
+// else.
 
 #ifndef CROWDMAX_CORE_BATCHED_H_
 #define CROWDMAX_CORE_BATCHED_H_
@@ -57,10 +59,6 @@ namespace crowdmax {
 
 class CheckpointReader;
 class CheckpointWriter;
-
-// ComparisonPair (a pairwise comparison request; `a` and `b` must be
-// distinct elements) now lives in core/comparator.h, the layer the engine,
-// the executor stack and the batch vote interface all share.
 
 /// Per-task outcome of a fallible batch execution (TryExecuteBatch).
 struct BatchTaskResult {
@@ -290,11 +288,6 @@ class ParallelBatchExecutor : public BatchExecutor {
   int64_t chunk_size_;
 };
 
-// BatchedAllPlayAll was deprecated (it bypassed the engine's cache and
-// fault accounting) and has been removed; drive RunTournamentOnEngine on
-// RoundEngine::CreateBatched instead. See DESIGN.md §10's deprecation
-// table.
-
 /// FilterResult plus the logical steps the run consumed.
 struct BatchedFilterResult {
   FilterResult filter;
@@ -390,21 +383,21 @@ struct BatchedExpertMaxResult {
   FaultReport expert_faults;
 };
 
-/// Algorithm 1 in batched form: BatchedFilterCandidates with the naive
-/// executor, then BatchedTwoMaxFind with the expert executor. When the
-/// executors are resilient (core/resilient.h), their FaultReports are
-/// summarized into the result; when a fault budget is exhausted the run
-/// returns a partial result (survivors so far + fault status) instead of
-/// aborting.
+/// Algorithm 1 in batched form: the same body as FindMaxWithExperts, with
+/// the filter on the naive executor and the ExpertMaxOptions::phase2 solver
+/// on the expert executor. When the executors are resilient
+/// (core/resilient.h), their FaultReports are summarized into the result;
+/// when a fault budget is exhausted the run returns a partial result
+/// (survivors so far + fault status) instead of aborting.
 Result<BatchedExpertMaxResult> BatchedFindMaxWithExperts(
     const std::vector<ElementId>& items, BatchExecutor* naive,
     BatchExecutor* expert, const ExpertMaxOptions& options);
 
 /// BatchedFindMaxWithExperts with a pipelined Phase 1: the filter's rounds
 /// go through `naive` (set FilterOptions::pipeline_groups in
-/// options.filter to overlap its groups), while 2-MaxFind stays on the
-/// synchronous `expert` — its rounds never overlap without speculation,
-/// so an async front end would only add per-round cost.
+/// options.filter to overlap its groups), while Phase 2 stays on the
+/// synchronous `expert` — 2-MaxFind's rounds never overlap without
+/// speculation, so an async front end would only add per-round cost.
 Result<BatchedExpertMaxResult> PipelinedFindMaxWithExperts(
     const std::vector<ElementId>& items, AsyncBatchExecutor* naive,
     BatchExecutor* expert, const ExpertMaxOptions& options,

@@ -1,109 +1,9 @@
 #include "core/expert_max.h"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
 #include <utility>
 
-#include "core/round_engine.h"
-#include "core/tournament.h"
-#include "core/trace.h"
-
 namespace crowdmax {
-
-Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
-                                           Comparator* naive,
-                                           Comparator* expert,
-                                           const ExpertMaxOptions& options) {
-  CROWDMAX_CHECK(naive != nullptr);
-  CROWDMAX_CHECK(expert != nullptr);
-  if (items.empty()) {
-    return Status::InvalidArgument("input set must be non-empty");
-  }
-  TraceSpanScope run_span(TraceSpanKind::kRun, "expert_max");
-
-  FilterOptions filter_options = options.filter;
-  TwoMaxFindOptions two_maxfind_options = options.two_maxfind;
-  if (options.shared_cache != nullptr) {
-    filter_options.shared_cache = options.shared_cache;
-    filter_options.cache_class = options.naive_cache_class;
-    two_maxfind_options.shared_cache = options.shared_cache;
-    two_maxfind_options.cache_class = options.expert_cache_class;
-  }
-
-  // Phase 1: filter with naive workers (FilterCandidates opens the
-  // "filter" phase span and records its per-round cells).
-  Result<FilterResult> filtered =
-      FilterCandidates(items, filter_options, naive);
-  if (!filtered.ok()) return filtered.status();
-
-  ExpertMaxResult result;
-  result.candidates = std::move(filtered->candidates);
-  result.paid.naive = filtered->paid_comparisons;
-  result.issued.naive = filtered->issued_comparisons;
-  result.filter_rounds = filtered->rounds;
-  result.filter_hit_empty_round = filtered->hit_empty_round;
-  result.filter_stopped_by_budget = filtered->stopped_by_budget;
-
-  if (result.candidates.empty()) {
-    return Status::Internal("phase 1 returned an empty candidate set");
-  }
-
-  // Phase 2: max-find over the candidates with expert workers. The serial
-  // max-find algorithms have no executor underneath to attribute their
-  // comparisons, so the whole phase is one trace cell (round -1), recorded
-  // from the result's counters: in the comparator model every paid
-  // comparison comes back answered, and the issued-minus-paid remainder
-  // was served by the memoization cache.
-  TraceSpanScope phase_span("expert", TraceWorkerClass::kExpert);
-  Result<MaxFindResult> phase2 = Status::Internal("unreachable");
-  switch (options.phase2) {
-    case Phase2Algorithm::kTwoMaxFind:
-      phase2 = TwoMaxFind(result.candidates, expert, two_maxfind_options);
-      break;
-    case Phase2Algorithm::kRandomized:
-      phase2 = RandomizedMaxFind(result.candidates, expert, options.randomized);
-      break;
-    case Phase2Algorithm::kAllPlayAll:
-      if (options.shared_cache != nullptr) {
-        // Memoized tournament on a shared-cache engine: candidate pairs an
-        // earlier expert-class engine already resolved are answered for
-        // free, and every pair bought here seeds later runs.
-        const std::unique_ptr<RoundEngine> engine = RoundEngine::CreateSerial(
-            expert, /*memoize=*/true, options.shared_cache,
-            options.expert_cache_class);
-        Result<TournamentEngineRun> run =
-            RunTournamentOnEngine(result.candidates, engine.get());
-        if (!run.ok()) {
-          phase2 = run.status();
-          break;
-        }
-        MaxFindResult tallied;
-        tallied.best = result.candidates[IndexOfMostWins(run->tournament)];
-        tallied.issued_comparisons = run->tournament.comparisons;
-        tallied.paid_comparisons = engine->paid();
-        phase2 = tallied;
-      } else {
-        phase2 = AllPlayAllMax(result.candidates, expert);
-      }
-      break;
-  }
-  if (!phase2.ok()) return phase2.status();
-  if (AlgoTrace* trace = CurrentTrace(); trace != nullptr) {
-    trace->RecordDispatched(phase2->paid_comparisons);
-    trace->RecordOutcomes(phase2->paid_comparisons, 0, 0);
-    if (phase2->issued_comparisons > phase2->paid_comparisons) {
-      trace->RecordCacheHits(phase2->issued_comparisons -
-                             phase2->paid_comparisons);
-    }
-  }
-
-  result.best = phase2->best;
-  result.paid.expert = phase2->paid_comparisons;
-  result.issued.expert = phase2->issued_comparisons;
-  result.phase2_rounds = phase2->rounds;
-  return result;
-}
 
 Result<BudgetedMaxResult> BudgetedFindMaxWithExperts(
     const std::vector<ElementId>& items, Comparator* naive,

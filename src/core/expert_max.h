@@ -42,6 +42,8 @@ struct ExpertMaxOptions {
   /// whole algorithm (estimate it with EstimateUn when unknown).
   FilterOptions filter;
   Phase2Algorithm phase2 = Phase2Algorithm::kTwoMaxFind;
+  /// 2-MaxFind's memo switch applies on comparators; an executor engine
+  /// always dedups within the run.
   TwoMaxFindOptions two_maxfind;
   RandomizedMaxFindOptions randomized;
 
@@ -54,8 +56,9 @@ struct ExpertMaxOptions {
   /// an id, i.e. both phases buy from the very same crowd (the single-class
   /// regime of the paper's u_n = u_e degenerate case). The main gain is
   /// across calls: a later run on the same (cache, class) answers every
-  /// already-resolved pair for free. kRandomized runs unmemoized by design
-  /// and never reads or writes the cache. Not owned; must outlive the call.
+  /// already-resolved pair for free. kRandomized never reads or writes the
+  /// cache (on comparators it also runs unmemoized). Not owned; must
+  /// outlive the call.
   SharedPairCache* shared_cache = nullptr;
   int64_t naive_cache_class = 0;
   int64_t expert_cache_class = 1;
@@ -84,8 +87,12 @@ struct ExpertMaxResult {
 };
 
 /// Runs Algorithm 1 on `items`: Algorithm 2 with `naive`, then the selected
-/// phase-2 solver with `expert`. Returns InvalidArgument for bad options,
-/// duplicate ids, or an empty input.
+/// phase-2 solver with `expert`. The same body as BatchedFindMaxWithExperts
+/// and PipelinedFindMaxWithExperts (core/batched.cc) on comparators: Phase 1
+/// runs serially, or on the parallel engine at filter.threads >= 1; Phase 2
+/// runs serially inside an "expert" trace phase recorded as one cell.
+/// Returns InvalidArgument for bad options, duplicate ids, or an empty
+/// input.
 Result<ExpertMaxResult> FindMaxWithExperts(const std::vector<ElementId>& items,
                                            Comparator* naive,
                                            Comparator* expert,

@@ -548,10 +548,15 @@ class FilterRoundSource : public RoundSource {
   bool done_ = false;
 };
 
-// Drives the source on `engine`; the caller validated the input.
-Result<FilterEngineRun> RunValidatedFilter(const std::vector<ElementId>& items,
-                                           const FilterOptions& options,
-                                           RoundEngine* engine) {
+}  // namespace
+
+Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
+                                          const FilterOptions& options,
+                                          RoundEngine* engine) {
+  CROWDMAX_CHECK(engine != nullptr);
+  if (Status status = ValidateFilterInput(items, options); !status.ok()) {
+    return status;
+  }
   // One phase span covers every backend, so serial, parallel and batched
   // runs produce identically-shaped traces.
   TraceSpanScope phase_span("filter", TraceWorkerClass::kNaive);
@@ -563,47 +568,6 @@ Result<FilterEngineRun> RunValidatedFilter(const std::vector<ElementId>& items,
   Result<DriveResult> drive = engine->Drive(&source, drive_options);
   if (!drive.ok()) return drive.status();
   return source.Finish(engine->paid() - paid_before);
-}
-
-}  // namespace
-
-Result<FilterEngineRun> RunFilterOnEngine(const std::vector<ElementId>& items,
-                                          const FilterOptions& options,
-                                          RoundEngine* engine) {
-  CROWDMAX_CHECK(engine != nullptr);
-  if (Status status = ValidateFilterInput(items, options); !status.ok()) {
-    return status;
-  }
-  return RunValidatedFilter(items, options, engine);
-}
-
-Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
-                                      const FilterOptions& options,
-                                      Comparator* naive) {
-  CROWDMAX_CHECK(naive != nullptr);
-  if (Status status = ValidateFilterInput(items, options); !status.ok()) {
-    return status;
-  }
-
-  std::unique_ptr<RoundEngine> engine;
-  if (options.threads >= 1) {
-    Result<std::unique_ptr<RoundEngine>> parallel = RoundEngine::CreateParallel(
-        naive, options.threads, options.parallel_seed, options.memoize,
-        options.shared_cache, options.cache_class);
-    if (!parallel.ok()) return parallel.status();
-    engine = std::move(*parallel);
-  } else {
-    engine = RoundEngine::CreateSerial(naive, options.memoize,
-                                       options.shared_cache,
-                                       options.cache_class);
-  }
-
-  Result<FilterEngineRun> run =
-      RunValidatedFilter(items, options, engine.get());
-  if (!run.ok()) return run.status();
-  // Comparator backends never leave a round without evidence.
-  CROWDMAX_CHECK(!run->partial);
-  return std::move(run->filter);
 }
 
 int64_t FilterComparisonUpperBound(int64_t n, int64_t u_n) {

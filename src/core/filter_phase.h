@@ -139,7 +139,8 @@ struct FilterResult {
 
 /// Runs Algorithm 2 on `items` with `naive` workers. `items` must be
 /// distinct element ids; returns InvalidArgument for bad options or
-/// duplicate ids.
+/// duplicate ids. The same body as BatchedFilterCandidates
+/// (core/batched.cc), on a comparator.
 Result<FilterResult> FilterCandidates(const std::vector<ElementId>& items,
                                       const FilterOptions& options,
                                       Comparator* naive);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -36,11 +37,39 @@ int64_t CeilSqrt(int64_t s) {
   return r;
 }
 
+// Restored-id check for a max-find checkpoint: every id must be one of
+// the run's items, and `distinct` ids must not repeat.
+class KnownIds {
+ public:
+  explicit KnownIds(const std::vector<ElementId>& items)
+      : known_(items.begin(), items.end()) {}
+  bool Has(ElementId id) const { return known_.count(id) > 0; }
+  bool HasAll(const std::vector<ElementId>& ids, bool distinct) const {
+    std::unordered_set<ElementId> seen;
+    for (ElementId id : ids) {
+      if (!Has(id) || (distinct && !seen.insert(id).second)) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::unordered_set<ElementId> known_;
+};
+
+// Restored ids or counts that do not fit the run would reach the engine as
+// bogus pairs or index past a tally; a checkpoint holding them is refused
+// with a typed error instead (DESIGN.md §13).
+Status RefuseCheckpoint(const char* source, const std::string& what) {
+  return Status::FailedPrecondition(std::string("checkpoint ") + source +
+                                    " state does not fit this run: " + what);
+}
+
 // Tallies one all-play-all unit: wins per element, no win to either side of
 // an unresolved pair (missing evidence), returning the unresolved count.
 int64_t TallyAllPlayAll(const std::vector<ElementId>& group,
                         const std::vector<ElementId>& winners,
-                        std::vector<int64_t>* wins) {
+                        TournamentResult* tally) {
+  std::vector<int64_t>* wins = &tally->wins;
   wins->assign(group.size(), 0);
   int64_t unresolved = 0;
   size_t t = 0;
@@ -57,6 +86,44 @@ int64_t TallyAllPlayAll(const std::vector<ElementId>& group,
   return unresolved;
 }
 
+// One unit holding every unordered pair of `ids`, under the serial path's
+// "all_play_all" batch span.
+RoundUnit AllPairsUnit(const std::vector<ElementId>& ids) {
+  RoundUnit unit;
+  unit.serial_span = "all_play_all";
+  unit.serial_span_size = static_cast<int64_t>(ids.size());
+  unit.pairs.reserve(ids.size() * (ids.size() - 1) / 2);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    for (size_t j = i + 1; j < ids.size(); ++j) {
+      unit.pairs.push_back({ids[i], ids[j]});
+    }
+  }
+  return unit;
+}
+
+// Folds a final all-play-all over `finalists` into `run`: the leader is the
+// best, and a tally on incomplete evidence marks the run partial (`best` is
+// then the provisional leader) with the finalists as its survivors.
+void ConsumeFinal(const std::vector<ElementId>& finalists,
+                  const RoundOutcome& outcome, MaxFindEngineRun* run) {
+  TournamentResult tally;
+  const int64_t unresolved =
+      TallyAllPlayAll(finalists, outcome.winners[0], &tally);
+  run->maxfind.best = finalists[IndexOfMostWins(tally)];
+  if (unresolved == 0 && outcome.fault.ok()) return;
+  run->partial = true;
+  if (run->fault_status.ok()) {
+    run->fault_status =
+        !outcome.fault.ok()
+            ? outcome.fault
+            : Status::Unavailable("final tournament left " +
+                                  std::to_string(unresolved) +
+                                  " comparisons unresolved; best is "
+                                  "provisional");
+  }
+  run->survivors = finalists;
+}
+
 // Algorithm 3 as a round generator. One algorithm round spans two engine
 // rounds — the sample tournament, a barrier to pick the pivot, then the
 // elimination scan — so the trace round span opens on the sample round and
@@ -65,7 +132,8 @@ class TwoMaxFindSource : public RoundSource {
  public:
   TwoMaxFindSource(const std::vector<ElementId>& items, bool partial_evidence,
                    bool speculate)
-      : partial_evidence_(partial_evidence),
+      : items_(items),
+        partial_evidence_(partial_evidence),
         speculate_(speculate),
         candidates_(items) {
     const int64_t s = static_cast<int64_t>(items.size());
@@ -83,7 +151,7 @@ class TwoMaxFindSource : public RoundSource {
     }
     switch (phase_) {
       case Phase::kSample: {
-        if (result_.rounds >= max_rounds_) {
+        if (run_.maxfind.rounds >= max_rounds_) {
           return partial_evidence_
                      ? Status::Internal(
                            "batched 2-MaxFind exceeded its round budget; "
@@ -95,18 +163,9 @@ class TwoMaxFindSource : public RoundSource {
         // Step 3: arbitrary ceil(sqrt(s)) candidates — take the first k
         // (the paper allows any choice; deterministic for reproducibility).
         sample_.assign(candidates_.begin(), candidates_.begin() + k_);
-        RoundUnit unit;
-        unit.serial_span = "all_play_all";
-        unit.serial_span_size = k_;
-        unit.pairs.reserve(static_cast<size_t>(k_ * (k_ - 1) / 2));
-        for (size_t i = 0; i < sample_.size(); ++i) {
-          for (size_t j = i + 1; j < sample_.size(); ++j) {
-            unit.pairs.push_back({sample_[i], sample_[j]});
-          }
-        }
-        round->units.push_back(std::move(unit));
+        round->units.push_back(AllPairsUnit(sample_));
         round->executor_span = "sample";
-        round->open_round_executor = result_.rounds + 1;
+        round->open_round_executor = run_.maxfind.rounds + 1;
         awaiting_sample_ = true;
         return true;
       }
@@ -126,15 +185,7 @@ class TwoMaxFindSource : public RoundSource {
       }
       case Phase::kFinal: {
         // Step 6: final tournament among the surviving candidates.
-        RoundUnit unit;
-        unit.serial_span = "all_play_all";
-        unit.serial_span_size = static_cast<int64_t>(candidates_.size());
-        for (size_t i = 0; i < candidates_.size(); ++i) {
-          for (size_t j = i + 1; j < candidates_.size(); ++j) {
-            unit.pairs.push_back({candidates_[i], candidates_[j]});
-          }
-        }
-        round->units.push_back(std::move(unit));
+        round->units.push_back(AllPairsUnit(candidates_));
         round->executor_span = "final";
         return true;
       }
@@ -146,17 +197,16 @@ class TwoMaxFindSource : public RoundSource {
 
   Status ConsumeOutcome(const EngineRound& /*round*/,
                         const RoundOutcome& outcome) override {
-    result_.issued_comparisons += outcome.issued;
+    run_.maxfind.issued_comparisons += outcome.issued;
     switch (phase_) {
       case Phase::kSample: {
-        ++result_.rounds;
+        ++run_.maxfind.rounds;
         awaiting_sample_ = false;
-        std::vector<int64_t> wins;
-        sample_unresolved_ = TallyAllPlayAll(sample_, outcome.winners[0], &wins);
+        TournamentResult tally;
+        sample_unresolved_ =
+            TallyAllPlayAll(sample_, outcome.winners[0], &tally);
         sample_fault_ = outcome.fault;
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
-        pivot_ = sample_[IndexOfMostWins(tournament)];
+        pivot_ = sample_[IndexOfMostWins(tally)];
         phase_ = Phase::kScan;
         return Status::OK();
       }
@@ -191,8 +241,8 @@ class TwoMaxFindSource : public RoundSource {
           // Faults withheld the evidence this round needed; the executor's
           // own recovery already ran, so stop and report the field as it
           // stands.
-          partial_ = true;
-          fault_status_ =
+          run_.partial = true;
+          run_.fault_status =
               !outcome.fault.ok() ? outcome.fault
               : !sample_fault_.ok()
                   ? sample_fault_
@@ -200,7 +250,7 @@ class TwoMaxFindSource : public RoundSource {
                         "2-MaxFind round made no progress: " +
                         std::to_string(sample_unresolved_ + unresolved_scan) +
                         " comparisons unresolved after executor recovery");
-          survivors_ = candidates_;
+          run_.survivors = candidates_;
           phase_ = Phase::kDone;
           return Status::OK();
         }
@@ -208,24 +258,7 @@ class TwoMaxFindSource : public RoundSource {
         return Status::OK();
       }
       case Phase::kFinal: {
-        std::vector<int64_t> wins;
-        const int64_t unresolved =
-            TallyAllPlayAll(candidates_, outcome.winners[0], &wins);
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
-        result_.best = candidates_[IndexOfMostWins(tournament)];
-        if (unresolved > 0 || !outcome.fault.ok()) {
-          // The final tournament ran on incomplete evidence: `best` is the
-          // provisional leader, flagged partial so callers can tell.
-          partial_ = true;
-          fault_status_ =
-              !outcome.fault.ok()
-                  ? outcome.fault
-                  : Status::Unavailable(
-                        "final tournament left " + std::to_string(unresolved) +
-                        " comparisons unresolved; best is provisional");
-          survivors_ = candidates_;
-        }
+        ConsumeFinal(candidates_, outcome, &run_);
         phase_ = Phase::kDone;
         return Status::OK();
       }
@@ -280,15 +313,7 @@ class TwoMaxFindSource : public RoundSource {
     predicted_pivot_ = -1;
   }
 
-  MaxFindEngineRun Finish(int64_t paid_delta) {
-    MaxFindEngineRun run;
-    result_.paid_comparisons = paid_delta;
-    run.maxfind = std::move(result_);
-    run.partial = partial_;
-    run.fault_status = fault_status_;
-    run.survivors = std::move(survivors_);
-    return run;
-  }
+  MaxFindEngineRun Finish() { return std::move(run_); }
 
   Status SaveState(CheckpointWriter* writer) const override {
     writer->WriteTag(kTwoMaxTag);
@@ -300,13 +325,13 @@ class TwoMaxFindSource : public RoundSource {
     writer->WriteI64(pivot_);
     writer->WriteI64(sample_unresolved_);
     writer->WriteStatus(sample_fault_);
-    writer->WriteI64(result_.best);
-    writer->WriteI64(result_.paid_comparisons);
-    writer->WriteI64(result_.issued_comparisons);
-    writer->WriteI64(result_.rounds);
-    writer->WriteBool(partial_);
-    writer->WriteStatus(fault_status_);
-    writer->WriteIdVector(survivors_);
+    writer->WriteI64(run_.maxfind.best);
+    writer->WriteI64(run_.maxfind.paid_comparisons);
+    writer->WriteI64(run_.maxfind.issued_comparisons);
+    writer->WriteI64(run_.maxfind.rounds);
+    writer->WriteBool(run_.partial);
+    writer->WriteStatus(run_.fault_status);
+    writer->WriteIdVector(run_.survivors);
     // Speculation bookkeeping. Checkpoints are cut at quiescent
     // boundaries (no round in flight), so these are always the rest
     // values; they are serialized anyway so the state invariant is "the
@@ -320,29 +345,57 @@ class TwoMaxFindSource : public RoundSource {
   Status LoadState(CheckpointReader* reader) override {
     reader->ExpectTag(kTwoMaxTag);
     reader->ReadIdVector(&candidates_);
-    k_ = reader->ReadI64();
-    max_rounds_ = reader->ReadI64();
-    phase_ = static_cast<Phase>(reader->ReadI64());
+    const int64_t k = reader->ReadI64();
+    const int64_t max_rounds = reader->ReadI64();
+    const int64_t phase = reader->ReadI64();
     reader->ReadIdVector(&sample_);
     pivot_ = static_cast<ElementId>(reader->ReadI64());
     sample_unresolved_ = reader->ReadI64();
     sample_fault_ = reader->ReadStatus();
-    result_.best = static_cast<ElementId>(reader->ReadI64());
-    result_.paid_comparisons = reader->ReadI64();
-    result_.issued_comparisons = reader->ReadI64();
-    result_.rounds = reader->ReadI64();
-    partial_ = reader->ReadBool();
-    fault_status_ = reader->ReadStatus();
-    reader->ReadIdVector(&survivors_);
+    run_.maxfind.best = static_cast<ElementId>(reader->ReadI64());
+    run_.maxfind.paid_comparisons = reader->ReadI64();
+    run_.maxfind.issued_comparisons = reader->ReadI64();
+    run_.maxfind.rounds = reader->ReadI64();
+    run_.partial = reader->ReadBool();
+    run_.fault_status = reader->ReadStatus();
+    reader->ReadIdVector(&run_.survivors);
     awaiting_sample_ = reader->ReadBool();
     spec_outstanding_ = reader->ReadBool();
     predicted_pivot_ = static_cast<ElementId>(reader->ReadI64());
-    return reader->status();
+    if (!reader->status().ok()) return reader->status();
+
+    const KnownIds ids(items_);
+    if (candidates_.empty() || !ids.HasAll(candidates_, true) ||
+        !ids.HasAll(sample_, true) || !ids.HasAll(run_.survivors, true) ||
+        (run_.maxfind.best != -1 && !ids.Has(run_.maxfind.best))) {
+      return RefuseCheckpoint("2-MaxFind", "a candidate id is not an input");
+    }
+    // The sample size and round budget are functions of the input size.
+    if (k != k_ || max_rounds != max_rounds_) {
+      return RefuseCheckpoint("2-MaxFind", "k or the round budget differs");
+    }
+    if (phase < static_cast<int64_t>(Phase::kSample) ||
+        phase > static_cast<int64_t>(Phase::kDone)) {
+      return RefuseCheckpoint("2-MaxFind", "phase " + std::to_string(phase) +
+                                               " is out of range");
+    }
+    phase_ = static_cast<Phase>(phase);
+    if (phase_ == Phase::kScan &&
+        std::find(candidates_.begin(), candidates_.end(), pivot_) ==
+            candidates_.end()) {
+      return RefuseCheckpoint("2-MaxFind", "the pivot is not a candidate");
+    }
+    // Checkpoints are cut with no round in flight.
+    if (awaiting_sample_ || spec_outstanding_ || predicted_pivot_ != -1) {
+      return RefuseCheckpoint("2-MaxFind", "speculation state not at rest");
+    }
+    return Status::OK();
   }
 
  private:
   enum class Phase { kSample, kScan, kFinal, kDone };
 
+  const std::vector<ElementId>& items_;
   const bool partial_evidence_;
   const bool speculate_;
   std::vector<ElementId> candidates_;
@@ -353,10 +406,7 @@ class TwoMaxFindSource : public RoundSource {
   ElementId pivot_ = -1;
   int64_t sample_unresolved_ = 0;
   Status sample_fault_ = Status::OK();
-  MaxFindResult result_;
-  bool partial_ = false;
-  Status fault_status_ = Status::OK();
-  std::vector<ElementId> survivors_;
+  MaxFindEngineRun run_;
   // True between a sample round's emission and its consumption — the only
   // window in which the follow-up scan is predictable.
   bool awaiting_sample_ = false;
@@ -374,7 +424,8 @@ class RandomizedMaxFindSource : public RoundSource {
   RandomizedMaxFindSource(const std::vector<ElementId>& items,
                           const RandomizedMaxFindOptions& options,
                           bool partial_evidence)
-      : partial_evidence_(partial_evidence),
+      : items_(items),
+        partial_evidence_(partial_evidence),
         pipeline_groups_(options.pipeline_groups),
         rng_(options.seed),
         survivors_(items) {
@@ -392,7 +443,7 @@ class RandomizedMaxFindSource : public RoundSource {
       // Mid logical round: the witness sample, shuffle and partition were
       // all drawn at the first group's emission, so the remaining groups
       // are fully determined — each one becomes its own engine round.
-      EmitGroup(groups_[next_emit_group_], round);
+      round->units.push_back(AllPairsUnit(groups_[next_emit_group_]));
       ++next_emit_group_;
       return true;
     }
@@ -407,15 +458,7 @@ class RandomizedMaxFindSource : public RoundSource {
       for (ElementId e : survivors_) witness_set_.insert(e);
       finalists_.assign(witness_set_.begin(), witness_set_.end());
       std::sort(finalists_.begin(), finalists_.end());  // Determinism.
-      RoundUnit unit;
-      unit.serial_span = "all_play_all";
-      unit.serial_span_size = static_cast<int64_t>(finalists_.size());
-      for (size_t i = 0; i < finalists_.size(); ++i) {
-        for (size_t j = i + 1; j < finalists_.size(); ++j) {
-          unit.pairs.push_back({finalists_[i], finalists_[j]});
-        }
-      }
-      round->units.push_back(std::move(unit));
+      round->units.push_back(AllPairsUnit(finalists_));
       round->executor_span = "final";
       in_final_ = true;
       return true;
@@ -454,13 +497,14 @@ class RandomizedMaxFindSource : public RoundSource {
       round_unresolved_ = 0;
       round_fault_ = Status::OK();
       next_consume_group_ = 0;
-      EmitGroup(groups_[0], round);
+      round->units.push_back(AllPairsUnit(groups_[0]));
       next_emit_group_ = 1;
       return true;
     }
+    round_next_.reserve(survivors_.size());
     round->units.reserve(groups_.size());
     for (const std::vector<ElementId>& group : groups_) {
-      EmitGroup(group, round);
+      round->units.push_back(AllPairsUnit(group));
     }
     return true;
   }
@@ -476,138 +520,72 @@ class RandomizedMaxFindSource : public RoundSource {
 
   Status ConsumeOutcome(const EngineRound& /*round*/,
                         const RoundOutcome& outcome) override {
-    result_.issued_comparisons += outcome.issued;
+    run_.maxfind.issued_comparisons += outcome.issued;
     if (in_final_) {
-      std::vector<int64_t> wins;
-      const int64_t unresolved =
-          TallyAllPlayAll(finalists_, outcome.winners[0], &wins);
-      TournamentResult tournament;
-      tournament.wins = std::move(wins);
-      result_.best = finalists_[IndexOfMostWins(tournament)];
-      if (unresolved > 0 || !outcome.fault.ok()) {
-        partial_ = true;
-        if (fault_status_.ok()) {
-          fault_status_ =
-              !outcome.fault.ok()
-                  ? outcome.fault
-                  : Status::Unavailable(
-                        "final tournament left " + std::to_string(unresolved) +
-                        " comparisons unresolved; best is provisional");
-        }
-        run_survivors_ = finalists_;
-      }
+      ConsumeFinal(finalists_, outcome, &run_);
       done_ = true;
-      return Status::OK();
-    }
-
-    if (pipeline_groups_) {
-      // One group per engine round: accumulate this group's verdict and
-      // apply the logical-round barrier when the last group lands.
-      const std::vector<ElementId>& group = groups_[next_consume_group_];
-      std::vector<int64_t> wins;
-      const int64_t unresolved =
-          TallyAllPlayAll(group, outcome.winners[0], &wins);
-      round_unresolved_ += unresolved;
-      if (round_fault_.ok() && !outcome.fault.ok()) {
-        round_fault_ = outcome.fault;
-      }
-      if (unresolved > 0) {
-        round_next_.insert(round_next_.end(), group.begin(), group.end());
-      } else {
-        TournamentResult tournament;
-        tournament.wins = std::move(wins);
-        const size_t minimal = IndexOfFewestWins(tournament);
-        for (size_t i = 0; i < group.size(); ++i) {
-          if (i != minimal) round_next_.push_back(group[i]);
-        }
-      }
-      ++next_consume_group_;
-      if (next_consume_group_ < groups_.size()) return Status::OK();
-
-      // Logical-round barrier (lines 5-6 take effect together).
-      ++result_.rounds;
-      round_next_.insert(round_next_.end(), passthrough_.begin(),
-                         passthrough_.end());
-      if (round_next_.size() >= survivors_.size()) {
-        CROWDMAX_CHECK(partial_evidence_);
-        CROWDMAX_CHECK(round_unresolved_ > 0 || !round_fault_.ok());
-        partial_ = true;
-        fault_status_ =
-            !round_fault_.ok()
-                ? round_fault_
-                : Status::Unavailable(
-                      "randomized elimination round made no progress: " +
-                      std::to_string(round_unresolved_) +
-                      " comparisons unresolved after executor recovery");
-        final_pending_ = true;
-      }
-      survivors_ = std::move(round_next_);
-      round_next_.clear();
-      groups_.clear();
-      passthrough_.clear();
-      next_emit_group_ = 0;
-      next_consume_group_ = 0;
-      round_unresolved_ = 0;
-      round_fault_ = Status::OK();
       return Status::OK();
     }
 
     // Lines 5-6: in each group, eliminate the element with the fewest
     // wins — unless evidence is missing for the group, in which case it
-    // eliminates nobody (no eviction without evidence).
-    ++result_.rounds;
-    int64_t unresolved_pairs = 0;
-    std::vector<ElementId> next;
-    next.reserve(survivors_.size());
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      const std::vector<ElementId>& group = groups_[gi];
-      std::vector<int64_t> wins;
+    // eliminates nobody (no eviction without evidence). Grouped emission
+    // brings one group per engine round; either way the verdicts take
+    // effect together at the logical-round barrier, once the last group
+    // landed.
+    const size_t first = pipeline_groups_ ? next_consume_group_ : 0;
+    const size_t count = pipeline_groups_ ? 1 : groups_.size();
+    for (size_t u = 0; u < count; ++u) {
+      const std::vector<ElementId>& group = groups_[first + u];
+      TournamentResult tally;
       const int64_t unresolved =
-          TallyAllPlayAll(group, outcome.winners[gi], &wins);
-      unresolved_pairs += unresolved;
+          TallyAllPlayAll(group, outcome.winners[u], &tally);
+      round_unresolved_ += unresolved;
       if (unresolved > 0) {
-        next.insert(next.end(), group.begin(), group.end());
+        round_next_.insert(round_next_.end(), group.begin(), group.end());
         continue;
       }
-      TournamentResult tournament;
-      tournament.wins = std::move(wins);
-      const size_t minimal = IndexOfFewestWins(tournament);
+      const size_t minimal = IndexOfFewestWins(tally);
       for (size_t i = 0; i < group.size(); ++i) {
-        if (i != minimal) next.push_back(group[i]);
+        if (i != minimal) round_next_.push_back(group[i]);
       }
     }
-    next.insert(next.end(), passthrough_.begin(), passthrough_.end());
+    if (round_fault_.ok() && !outcome.fault.ok()) round_fault_ = outcome.fault;
+    next_consume_group_ = first + count;
+    if (next_consume_group_ < groups_.size()) return Status::OK();
 
-    if (next.size() >= survivors_.size()) {
+    ++run_.maxfind.rounds;
+    round_next_.insert(round_next_.end(), passthrough_.begin(),
+                       passthrough_.end());
+    if (round_next_.size() >= survivors_.size()) {
       // With full evidence every group of >= 2 eliminates exactly one
       // element, so a stalled round means faults withheld evidence: skip
       // straight to the final tournament (the witness set is intact, so
       // the guarantee degrades gracefully rather than looping forever).
       CROWDMAX_CHECK(partial_evidence_);
-      CROWDMAX_CHECK(unresolved_pairs > 0 || !outcome.fault.ok());
-      partial_ = true;
-      fault_status_ =
-          !outcome.fault.ok()
-              ? outcome.fault
+      CROWDMAX_CHECK(round_unresolved_ > 0 || !round_fault_.ok());
+      run_.partial = true;
+      run_.fault_status =
+          !round_fault_.ok()
+              ? round_fault_
               : Status::Unavailable(
                     "randomized elimination round made no progress: " +
-                    std::to_string(unresolved_pairs) +
+                    std::to_string(round_unresolved_) +
                     " comparisons unresolved after executor recovery");
       final_pending_ = true;
     }
-    survivors_ = std::move(next);
+    survivors_ = std::move(round_next_);
+    round_next_.clear();
+    groups_.clear();
+    passthrough_.clear();
+    next_emit_group_ = 0;
+    next_consume_group_ = 0;
+    round_unresolved_ = 0;
+    round_fault_ = Status::OK();
     return Status::OK();
   }
 
-  MaxFindEngineRun Finish(int64_t paid_delta) {
-    MaxFindEngineRun run;
-    result_.paid_comparisons = paid_delta;
-    run.maxfind = std::move(result_);
-    run.partial = partial_;
-    run.fault_status = fault_status_;
-    run.survivors = std::move(run_survivors_);
-    return run;
-  }
+  MaxFindEngineRun Finish() { return std::move(run_); }
 
   // The RNG stream position is part of the state: a resumed run must draw
   // the same witness samples and shuffles the uninterrupted run would have.
@@ -625,13 +603,13 @@ class RandomizedMaxFindSource : public RoundSource {
     writer->WriteBool(in_final_);
     writer->WriteBool(final_pending_);
     writer->WriteBool(done_);
-    writer->WriteI64(result_.best);
-    writer->WriteI64(result_.paid_comparisons);
-    writer->WriteI64(result_.issued_comparisons);
-    writer->WriteI64(result_.rounds);
-    writer->WriteBool(partial_);
-    writer->WriteStatus(fault_status_);
-    writer->WriteIdVector(run_survivors_);
+    writer->WriteI64(run_.maxfind.best);
+    writer->WriteI64(run_.maxfind.paid_comparisons);
+    writer->WriteI64(run_.maxfind.issued_comparisons);
+    writer->WriteI64(run_.maxfind.rounds);
+    writer->WriteBool(run_.partial);
+    writer->WriteStatus(run_.fault_status);
+    writer->WriteIdVector(run_.survivors);
     // Grouped-emission cursors and the partially-built survivor set:
     // with pipeline_groups the engine checkpoints between *group* rounds,
     // i.e. mid logical round, so these carry real state.
@@ -660,36 +638,82 @@ class RandomizedMaxFindSource : public RoundSource {
     in_final_ = reader->ReadBool();
     final_pending_ = reader->ReadBool();
     done_ = reader->ReadBool();
-    result_.best = static_cast<ElementId>(reader->ReadI64());
-    result_.paid_comparisons = reader->ReadI64();
-    result_.issued_comparisons = reader->ReadI64();
-    result_.rounds = reader->ReadI64();
-    partial_ = reader->ReadBool();
-    fault_status_ = reader->ReadStatus();
-    reader->ReadIdVector(&run_survivors_);
+    run_.maxfind.best = static_cast<ElementId>(reader->ReadI64());
+    run_.maxfind.paid_comparisons = reader->ReadI64();
+    run_.maxfind.issued_comparisons = reader->ReadI64();
+    run_.maxfind.rounds = reader->ReadI64();
+    run_.partial = reader->ReadBool();
+    run_.fault_status = reader->ReadStatus();
+    reader->ReadIdVector(&run_.survivors);
     next_emit_group_ = static_cast<size_t>(reader->ReadI64());
     next_consume_group_ = static_cast<size_t>(reader->ReadI64());
     reader->ReadIdVector(&round_next_);
     round_unresolved_ = reader->ReadI64();
     round_fault_ = reader->ReadStatus();
-    return reader->status();
+    if (!reader->status().ok()) return reader->status();
+    return CheckRestored();
   }
 
  private:
-  static void EmitGroup(const std::vector<ElementId>& group,
-                        EngineRound* round) {
-    RoundUnit unit;
-    unit.serial_span = "all_play_all";
-    unit.serial_span_size = static_cast<int64_t>(group.size());
-    unit.pairs.reserve(group.size() * (group.size() - 1) / 2);
-    for (size_t i = 0; i < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j) {
-        unit.pairs.push_back({group[i], group[j]});
+  // Refuses restored state that does not fit this run: unknown ids, a
+  // group too small to play, cursors past the partition, or a grouped
+  // round whose partial survivor set could not have come from its groups.
+  Status CheckRestored() const {
+    const auto refuse = [](const std::string& what) {
+      return RefuseCheckpoint("randomized max-find", what);
+    };
+    const KnownIds ids(items_);
+    bool known = (run_.maxfind.best == -1 || ids.Has(run_.maxfind.best));
+    for (const std::vector<ElementId>* list :
+         {&survivors_, &passthrough_, &finalists_, &run_.survivors,
+          &round_next_}) {
+      known = known && ids.HasAll(*list, true);
+    }
+    for (ElementId id : witness_set_) known = known && ids.Has(id);
+    size_t grouped = passthrough_.size();
+    for (const std::vector<ElementId>& group : groups_) {
+      known = known && ids.HasAll(group, true);
+      if (group.size() < 2) return refuse("a group has fewer than 2 ids");
+      grouped += group.size();
+    }
+    if (!known) return refuse("an id is not in the input");
+    if (!done_ && survivors_.empty()) return refuse("no survivors");
+    // Checkpoints are cut with no round in flight: the final round is
+    // consumed exactly when the run is done, and every emitted group has
+    // been consumed.
+    if (in_final_ != done_) return refuse("final round state out of step");
+    if (next_emit_group_ != next_consume_group_ ||
+        (pipeline_groups_
+             ? (groups_.empty() ? next_emit_group_ != 0
+                                : next_emit_group_ == 0 ||
+                                      next_emit_group_ >= groups_.size())
+             : next_emit_group_ != 0)) {
+      return refuse("group cursors out of range");
+    }
+    if (round_unresolved_ < 0 ||
+        (!partial_evidence_ && (round_unresolved_ > 0 || !round_fault_.ok()))) {
+      return refuse("unresolved evidence on a comparator engine");
+    }
+    if (next_consume_group_ > 0) {
+      // Mid grouped round: the partition covers the shuffled survivors,
+      // and each consumed group kept all its ids (missing evidence) or all
+      // but its minimum.
+      size_t consumed = 0;
+      for (size_t g = 0; g < next_consume_group_; ++g) {
+        consumed += groups_[g].size();
+      }
+      const bool full_evidence = round_unresolved_ == 0 && round_fault_.ok();
+      if (grouped != survivors_.size() ||
+          (full_evidence
+               ? round_next_.size() != consumed - next_consume_group_
+               : round_next_.size() > consumed)) {
+        return refuse("the grouped round's survivors do not fit its groups");
       }
     }
-    round->units.push_back(std::move(unit));
+    return Status::OK();
   }
 
+  const std::vector<ElementId>& items_;
   const bool partial_evidence_;
   const bool pipeline_groups_;
   Rng rng_;
@@ -704,10 +728,7 @@ class RandomizedMaxFindSource : public RoundSource {
   bool in_final_ = false;
   bool final_pending_ = false;
   bool done_ = false;
-  MaxFindResult result_;
-  bool partial_ = false;
-  Status fault_status_ = Status::OK();
-  std::vector<ElementId> run_survivors_;
+  MaxFindEngineRun run_;
   // Grouped emission (pipeline_groups): emit/consume cursors over the
   // current partition, plus the survivor set under construction and the
   // evidence tallies the barrier needs.
@@ -717,6 +738,23 @@ class RandomizedMaxFindSource : public RoundSource {
   int64_t round_unresolved_ = 0;
   Status round_fault_ = Status::OK();
 };
+
+// Drives a max-find source on `engine` and reports its run. Mispredicted
+// speculative spend is reported on the engine's speculation_wasted counter,
+// never in paid_comparisons — the result is numerically identical to the
+// sync drive's.
+template <typename Source>
+Result<MaxFindEngineRun> DriveMaxFind(Source* source, RoundEngine* engine) {
+  const int64_t paid_before = engine->paid();
+  const int64_t wasted_before = engine->speculation_wasted();
+  Result<DriveResult> drive = engine->Drive(source);
+  if (!drive.ok()) return drive.status();
+  MaxFindEngineRun run = source->Finish();
+  run.maxfind.paid_comparisons =
+      (engine->paid() - paid_before) -
+      (engine->speculation_wasted() - wasted_before);
+  return run;
+}
 
 Status ValidateRandomizedOptions(const RandomizedMaxFindOptions& options) {
   if (options.c < 0) return Status::InvalidArgument("c must be >= 0");
@@ -757,15 +795,7 @@ Result<MaxFindEngineRun> RunTwoMaxFindOnEngine(
 
   TwoMaxFindSource source(items, engine->SupportsPartialEvidence(),
                           options.speculate);
-  const int64_t paid_before = engine->paid();
-  const int64_t wasted_before = engine->speculation_wasted();
-  Result<DriveResult> drive = engine->Drive(&source);
-  if (!drive.ok()) return drive.status();
-  // Mispredicted speculative spend is reported on the engine's
-  // speculation_wasted counter, never in paid_comparisons — the result is
-  // numerically identical to the sync drive's.
-  return source.Finish((engine->paid() - paid_before) -
-                       (engine->speculation_wasted() - wasted_before));
+  return DriveMaxFind(&source, engine);
 }
 
 Result<MaxFindResult> TwoMaxFind(const std::vector<ElementId>& items,
@@ -800,12 +830,7 @@ Result<MaxFindEngineRun> RunRandomizedMaxFindOnEngine(
 
   RandomizedMaxFindSource source(items, options,
                                  engine->SupportsPartialEvidence());
-  const int64_t paid_before = engine->paid();
-  const int64_t wasted_before = engine->speculation_wasted();
-  Result<DriveResult> drive = engine->Drive(&source);
-  if (!drive.ok()) return drive.status();
-  return source.Finish((engine->paid() - paid_before) -
-                       (engine->speculation_wasted() - wasted_before));
+  return DriveMaxFind(&source, engine);
 }
 
 Result<MaxFindResult> RandomizedMaxFind(

@@ -7,6 +7,10 @@
 // filter with its own u_k, shrinking the candidate set before handing it to
 // the next, more expensive, class; the most expert class runs a phase-2
 // max-finder. With two classes this degenerates exactly to Algorithm 1.
+// The cascade has one body (core/batched.cc): FindMaxMultilevel runs it on
+// comparators, BatchedFindMaxMultilevel and PipelinedFindMaxMultilevel on
+// executors, and the final class goes through the same Phase-2 switch as
+// Algorithm 1.
 
 #ifndef CROWDMAX_CORE_MULTILEVEL_H_
 #define CROWDMAX_CORE_MULTILEVEL_H_
@@ -48,16 +52,17 @@ struct MultilevelOptions {
   /// memoizes into `shared_cache[k]` (the class index doubles as the cache
   /// class id, so classes of different expertise never trade evidence), and
   /// a repeated cascade over overlapping items answers every pair a
-  /// previous run's same level resolved for free. kRandomized finals run
-  /// unmemoized and never share. Not owned; must outlive the call.
+  /// previous run's same level resolved for free. kRandomized finals never
+  /// share (on comparators they also run unmemoized). Not owned; must
+  /// outlive the call.
   SharedPairCache* shared_cache = nullptr;
 
-  /// Pipelining shape for the final class (consulted only when the final
-  /// engine is pipelined; sync drives are unaffected). For a kTwoMaxFind
-  /// final, enables speculative elimination scans
-  /// (TwoMaxFindEngineOptions::speculate); for a kAllPlayAll final, splits
-  /// the tournament into chunks of at most `final_chunk_pairs` pairs
-  /// (TournamentEngineOptions::chunk_pairs, 0 = single round).
+  /// Pipelining shape for the final class; results are the same either
+  /// way. For a kTwoMaxFind final, enables speculative elimination scans
+  /// (TwoMaxFindEngineOptions::speculate, consulted by a pipelined engine
+  /// only); for a kAllPlayAll final, splits the tournament into rounds of
+  /// at most `final_chunk_pairs` pairs (TournamentEngineOptions::chunk_pairs,
+  /// 0 = single round), which a pipelined engine overlaps.
   bool final_speculate = false;
   int64_t final_chunk_pairs = 0;
 };
@@ -76,7 +81,9 @@ struct MultilevelResult {
 
 /// Runs the cascade over `items`. `classes` must be non-empty and ordered
 /// from least to most expert; with one class this is a plain single-class
-/// phase-2 run.
+/// phase-2 run. Filter levels run serially, or on the parallel engine at
+/// filter_template.threads >= 1; the final class runs serially inside an
+/// "expert" trace phase recorded as one cell.
 Result<MultilevelResult> FindMaxMultilevel(
     const std::vector<ElementId>& items,
     const std::vector<WorkerClassSpec>& classes,

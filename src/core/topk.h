@@ -80,7 +80,10 @@ struct TopKResult {
 
 /// Runs the two-phase top-k algorithm: Algorithm 2 with u' = u_n + k - 1
 /// using `naive`, then one expert all-play-all over the candidates, ordered
-/// by wins. Returns InvalidArgument for bad options or duplicate ids.
+/// by wins. The same body as BatchedFindTopKWithExperts (core/batched.cc)
+/// on comparators; the tournament runs inside an "expert" trace phase
+/// recorded as one cell. Returns InvalidArgument for bad options or
+/// duplicate ids.
 Result<TopKResult> FindTopKWithExperts(const std::vector<ElementId>& items,
                                        Comparator* naive, Comparator* expert,
                                        const TopKOptions& options);

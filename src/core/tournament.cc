@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -13,59 +14,43 @@ namespace {
 
 constexpr uint32_t kTournamentTag = CheckpointTag("TRNY");
 
-// A tournament is the degenerate round generator: one round, one unit, all
-// unordered pairs. Comparisons are attributed to a cell by the caller (the
-// phase/round that ran the tournament), never here, so an all-play-all
-// inside a recorded round is not double counted.
+// A tournament is the degenerate round generator: all unordered pairs, in
+// one round or in chunks. Comparisons are attributed to a cell by the
+// caller (the phase/round that ran the tournament), never here, so an
+// all-play-all inside a recorded round is not double counted.
 class TournamentRoundSource : public RoundSource {
  public:
   TournamentRoundSource(const std::vector<ElementId>& elements,
                         const char* span_label, int64_t chunk_pairs)
-      : elements_(elements),
-        span_label_(span_label),
-        chunk_pairs_(chunk_pairs) {
+      : elements_(elements), span_label_(span_label) {
     const int64_t k = static_cast<int64_t>(elements_.size());
     total_pairs_ = k * (k > 0 ? k - 1 : 0) / 2;
-    if (chunked()) run_.tournament.wins.assign(elements_.size(), 0);
+    // The single-round shape is one chunk carrying every pair.
+    chunk_pairs_ = chunk_pairs > 0 ? chunk_pairs : total_pairs_;
+    run_.tournament.wins.assign(elements_.size(), 0);
   }
 
+  // The next <= chunk_pairs_ pairs, in lexicographic order.
   Result<bool> NextRound(EngineRound* round) override {
     if (done_) return false;
     const size_t k = elements_.size();
-    if (chunked()) {
-      // Chunked shape: the next <= chunk_pairs_ pairs, in the same
-      // lexicographic order the single round would carry them.
-      RoundUnit unit;
-      unit.serial_span = span_label_;
-      unit.serial_span_size = static_cast<int64_t>(k);
-      unit.pairs.reserve(static_cast<size_t>(
-          std::min(chunk_pairs_, total_pairs_ - next_emit_pair_)));
-      int64_t emitted = 0;
-      while (emitted < chunk_pairs_ &&
-             next_emit_pair_ + emitted < total_pairs_) {
-        unit.pairs.push_back({elements_[ei_], elements_[ej_]});
-        ++emitted;
-        if (++ej_ >= k) {
-          ++ei_;
-          ej_ = ei_ + 1;
-        }
-      }
-      next_emit_pair_ += emitted;
-      if (next_emit_pair_ >= total_pairs_) done_ = true;
-      round->executor_span = span_label_;
-      round->units.push_back(std::move(unit));
-      return true;
-    }
-    done_ = true;
     RoundUnit unit;
     unit.serial_span = span_label_;
     unit.serial_span_size = static_cast<int64_t>(k);
-    unit.pairs.reserve(k * (k > 0 ? k - 1 : 0) / 2);
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = i + 1; j < k; ++j) {
-        unit.pairs.push_back({elements_[i], elements_[j]});
+    unit.pairs.reserve(static_cast<size_t>(
+        std::min(chunk_pairs_, total_pairs_ - next_emit_pair_)));
+    int64_t emitted = 0;
+    while (emitted < chunk_pairs_ &&
+           next_emit_pair_ + emitted < total_pairs_) {
+      unit.pairs.push_back({elements_[ei_], elements_[ej_]});
+      ++emitted;
+      if (++ej_ >= k) {
+        ++ei_;
+        ej_ = ei_ + 1;
       }
     }
+    next_emit_pair_ += emitted;
+    if (next_emit_pair_ >= total_pairs_) done_ = true;
     round->executor_span = span_label_;
     round->units.push_back(std::move(unit));
     return true;
@@ -75,53 +60,33 @@ class TournamentRoundSource : public RoundSource {
   // once), so the whole remainder of the tournament may trail the chunk
   // in flight.
   bool CanPipelineNextRound() const override {
-    return chunked() && next_emit_pair_ > 0 && next_emit_pair_ < total_pairs_;
+    return next_emit_pair_ > 0 && next_emit_pair_ < total_pairs_;
   }
 
   Status ConsumeOutcome(const EngineRound& /*round*/,
                         const RoundOutcome& outcome) override {
-    if (chunked()) {
-      run_.tournament.comparisons += outcome.issued;
-      const size_t k = elements_.size();
-      for (const ElementId winner : outcome.winners[0]) {
-        if (winner == kUnresolvedWinner) {
-          ++run_.unresolved;
-        } else {
-          ++run_.tournament.wins[winner == elements_[ci_] ? ci_ : cj_];
-        }
-        ++next_consume_pair_;
-        if (++cj_ >= k) {
-          ++ci_;
-          cj_ = ci_ + 1;
-        }
+    run_.tournament.comparisons += outcome.issued;
+    const size_t k = elements_.size();
+    for (const ElementId winner : outcome.winners[0]) {
+      if (winner == kUnresolvedWinner) {
+        ++run_.unresolved;
+      } else {
+        ++run_.tournament.wins[winner == elements_[ci_] ? ci_ : cj_];
       }
-      if (run_.fault.ok() && !outcome.fault.ok()) run_.fault = outcome.fault;
-      return Status::OK();
-    }
-    run_.tournament.wins.assign(elements_.size(), 0);
-    run_.tournament.comparisons = outcome.issued;
-    const std::vector<ElementId>& winners = outcome.winners[0];
-    size_t t = 0;
-    for (size_t i = 0; i < elements_.size(); ++i) {
-      for (size_t j = i + 1; j < elements_.size(); ++j, ++t) {
-        const ElementId winner = winners[t];
-        if (winner == kUnresolvedWinner) {
-          ++run_.unresolved;
-          continue;
-        }
-        ++run_.tournament.wins[winner == elements_[i] ? i : j];
+      ++next_consume_pair_;
+      if (++cj_ >= k) {
+        ++ci_;
+        cj_ = ci_ + 1;
       }
     }
-    run_.fault = outcome.fault;
+    if (run_.fault.ok() && !outcome.fault.ok()) run_.fault = outcome.fault;
     return Status::OK();
   }
 
   TournamentEngineRun Finish() { return std::move(run_); }
 
-  // Single-round source: the only interior boundary is "tournament already
-  // consumed", so the state is the tally plus the done flag. The chunked
-  // shape adds interior boundaries between chunks; the pair cursors make
-  // those resumable.
+  // The tally, the done flag and the pair cursors: chunk boundaries are
+  // the interior boundaries a resumed run continues from.
   Status SaveState(CheckpointWriter* writer) const override {
     writer->WriteTag(kTournamentTag);
     writer->WriteIdVector(run_.tournament.wins);
@@ -151,21 +116,53 @@ class TournamentRoundSource : public RoundSource {
     cj_ = static_cast<size_t>(reader->ReadI64());
     next_emit_pair_ = reader->ReadI64();
     next_consume_pair_ = reader->ReadI64();
-    return reader->status();
+    if (!reader->status().ok()) return reader->status();
+
+    // A tally or cursor that does not fit the element count would index
+    // past `wins` or `elements_`: refuse it with a typed error instead.
+    // Checkpoints are cut with no chunk in flight, so both cursors sit on
+    // the flat pair index the counters name.
+    const auto refuse = [](const std::string& what) {
+      return Status::FailedPrecondition(
+          "checkpoint tournament state does not fit this run: " + what);
+    };
+    if (run_.tournament.wins.size() != elements_.size()) {
+      return refuse("the win tally has " +
+                    std::to_string(run_.tournament.wins.size()) +
+                    " entries for " + std::to_string(elements_.size()) +
+                    " elements");
+    }
+    if (next_emit_pair_ != next_consume_pair_ || next_emit_pair_ < 0 ||
+        next_emit_pair_ > total_pairs_ ||
+        done_ != (next_emit_pair_ == total_pairs_) ||
+        std::make_pair(ei_, ej_) != PairAt(next_emit_pair_) ||
+        std::make_pair(ci_, cj_) != PairAt(next_emit_pair_)) {
+      return refuse("pair cursors out of range");
+    }
+    return Status::OK();
   }
 
  private:
-  bool chunked() const { return chunk_pairs_ > 0 && total_pairs_ > 0; }
+  // The (i, j) cursor of flat pair index `p` in lexicographic order;
+  // (k - 1, k) once every pair was emitted. Requires 0 <= p <= total.
+  std::pair<size_t, size_t> PairAt(int64_t p) const {
+    const size_t k = elements_.size();
+    size_t i = 0;
+    while (i + 1 < k && p >= static_cast<int64_t>(k - 1 - i)) {
+      p -= static_cast<int64_t>(k - 1 - i);
+      ++i;
+    }
+    return {i, i + 1 + static_cast<size_t>(p)};
+  }
 
   const std::vector<ElementId>& elements_;
   const char* const span_label_;
-  const int64_t chunk_pairs_;
+  int64_t chunk_pairs_ = 0;
   int64_t total_pairs_ = 0;
   TournamentEngineRun run_;
   bool done_ = false;
-  // Pair cursors for the chunked shape: (ei_, ej_) is the next pair to
-  // emit, (ci_, cj_) the next to tally; the flat counters gate
-  // CanPipelineNextRound and termination.
+  // Pair cursors: (ei_, ej_) is the next pair to emit, (ci_, cj_) the next
+  // to tally; the flat counters gate CanPipelineNextRound and termination.
   size_t ei_ = 0;
   size_t ej_ = 1;
   size_t ci_ = 0;

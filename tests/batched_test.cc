@@ -336,6 +336,56 @@ TEST(BatchedExpertMaxTest, PipelinedPhaseOneMatchesBatched) {
   }
 }
 
+// BatchedFindMaxWithExperts reaches the same Phase-2 switch as
+// FindMaxWithExperts, so every Phase2Algorithm runs on both routes. With
+// consistent answers (persistent ties, epsilon 0) both pick the same best
+// over the same candidates in the same number of rounds; the executor
+// engine dedups the randomized solver's repeated group pairs, which the
+// unmemoized sequential run pays again.
+TEST(BatchedExpertMaxTest, MatchesSequentialForEveryPhase2) {
+  Result<Instance> instance = UniformInstance(2000, /*seed=*/7);
+  ASSERT_TRUE(instance.ok());
+  ThresholdComparator::Options naive_worker;
+  naive_worker.tie_policy = TiePolicy::kPersistentArbitrary;
+  naive_worker.model = ThresholdModel{instance->DeltaForU(25), 0.0};
+  ThresholdComparator::Options expert_worker = naive_worker;
+  expert_worker.model = ThresholdModel{instance->DeltaForU(4), 0.0};
+
+  for (const Phase2Algorithm algorithm :
+       {Phase2Algorithm::kTwoMaxFind, Phase2Algorithm::kRandomized,
+        Phase2Algorithm::kAllPlayAll}) {
+    SCOPED_TRACE(static_cast<int>(algorithm));
+    ExpertMaxOptions options;
+    options.filter.u_n = 25;
+    options.phase2 = algorithm;
+
+    ThresholdComparator naive_seq(&*instance, naive_worker, /*seed=*/8);
+    ThresholdComparator expert_seq(&*instance, expert_worker, /*seed=*/9);
+    Result<ExpertMaxResult> sequential = FindMaxWithExperts(
+        instance->AllElements(), &naive_seq, &expert_seq, options);
+    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+
+    ThresholdComparator naive_cmp(&*instance, naive_worker, /*seed=*/8);
+    ThresholdComparator expert_cmp(&*instance, expert_worker, /*seed=*/9);
+    ComparatorBatchExecutor naive_exec(&naive_cmp);
+    ComparatorBatchExecutor expert_exec(&expert_cmp);
+    Result<BatchedExpertMaxResult> batched = BatchedFindMaxWithExperts(
+        instance->AllElements(), &naive_exec, &expert_exec, options);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    EXPECT_FALSE(batched->partial);
+
+    EXPECT_EQ(batched->result.best, sequential->best);
+    EXPECT_EQ(batched->result.candidates, sequential->candidates);
+    EXPECT_EQ(batched->result.paid.naive, sequential->paid.naive);
+    EXPECT_EQ(batched->result.phase2_rounds, sequential->phase2_rounds);
+    if (algorithm == Phase2Algorithm::kRandomized) {
+      EXPECT_LE(batched->result.paid.expert, sequential->paid.expert);
+    } else {
+      EXPECT_EQ(batched->result.paid.expert, sequential->paid.expert);
+    }
+  }
+}
+
 TEST(BatchedTopKTest, MatchesSequentialAndCountsSteps) {
   Result<Instance> instance = UniformInstance(600, /*seed=*/71);
   ASSERT_TRUE(instance.ok());
@@ -353,9 +403,19 @@ TEST(BatchedTopKTest, MatchesSequentialAndCountsSteps) {
   ThresholdComparator naive_seq(&*instance, worker, /*seed=*/72);
   worker.model = ThresholdModel{delta_e, 0.0};
   ThresholdComparator expert_seq(&*instance, worker, /*seed=*/73);
-  Result<TopKResult> sequential = FindTopKWithExperts(
-      instance->AllElements(), &naive_seq, &expert_seq, options);
+  AlgoTrace sequential_trace;
+  Result<TopKResult> sequential = [&] {
+    ScopedTrace scoped(&sequential_trace);
+    return FindTopKWithExperts(instance->AllElements(), &naive_seq,
+                               &expert_seq, options);
+  }();
   ASSERT_TRUE(sequential.ok());
+  // Exactly-once attribution on the comparator route: each class's spend
+  // lands in that class's trace cells, the expert tournament included.
+  EXPECT_EQ(sequential_trace.TotalsFor(TraceWorkerClass::kNaive).dispatched,
+            sequential->paid.naive);
+  EXPECT_EQ(sequential_trace.TotalsFor(TraceWorkerClass::kExpert).dispatched,
+            sequential->paid.expert);
 
   worker.model = ThresholdModel{delta_n, 0.0};
   ThresholdComparator naive_cmp(&*instance, worker, /*seed=*/72);
@@ -403,10 +463,20 @@ TEST(BatchedMultilevelTest, MatchesSequentialAndCountsStepsPerClass) {
   ThresholdComparator naive_seq(&*instance, worker, /*seed=*/82);
   worker.model = ThresholdModel{delta_expert, 0.0};
   ThresholdComparator expert_seq(&*instance, worker, /*seed=*/83);
-  Result<MultilevelResult> sequential = FindMaxMultilevel(
-      instance->AllElements(), make_classes(&naive_seq, &expert_seq),
-      MultilevelOptions{});
+  AlgoTrace sequential_trace;
+  Result<MultilevelResult> sequential = [&] {
+    ScopedTrace scoped(&sequential_trace);
+    return FindMaxMultilevel(instance->AllElements(),
+                             make_classes(&naive_seq, &expert_seq),
+                             MultilevelOptions{});
+  }();
   ASSERT_TRUE(sequential.ok());
+  // The filter level records naive cells, the final class one expert cell.
+  ASSERT_EQ(sequential->paid_per_class.size(), 2u);
+  EXPECT_EQ(sequential_trace.TotalsFor(TraceWorkerClass::kNaive).dispatched,
+            sequential->paid_per_class[0]);
+  EXPECT_EQ(sequential_trace.TotalsFor(TraceWorkerClass::kExpert).dispatched,
+            sequential->paid_per_class[1]);
 
   worker.model = ThresholdModel{delta_naive, 0.0};
   ThresholdComparator naive_cmp(&*instance, worker, /*seed=*/82);

@@ -257,6 +257,79 @@ TEST(ChaosEngineTest, TwoMaxFindKillAndResume) {
             baseline_stack.comparator->num_comparisons());
 }
 
+// Offset of the first byte after a source's section header ("SRC " then
+// the source's own tag) in a checkpoint.
+size_t SourceStateOffset(const std::string& bytes, const char* source_tag) {
+  const size_t at = bytes.find(std::string("SRC ") + source_tag);
+  CROWDMAX_CHECK(at != std::string::npos);
+  return at + 8;
+}
+
+int64_t ReadI64At(const std::string& bytes, size_t offset) {
+  uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(
+                 static_cast<unsigned char>(bytes[offset + i]))
+             << (8 * i);
+  }
+  return static_cast<int64_t>(value);
+}
+
+void WriteI64At(std::string* bytes, size_t offset, int64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] =
+        static_cast<char>(static_cast<uint64_t>(value) >> (8 * i));
+  }
+}
+
+// A corrupted 2-MaxFind checkpoint — a restored candidate the run does not
+// have, or a phase past the enum — is refused with a typed error, and the
+// process lives to report it.
+TEST(ChaosEngineTest, TwoMaxFindCorruptCheckpointRefusedTyped) {
+  const Instance instance = MakeInstance(40, /*seed=*/31);
+  const std::vector<ElementId> items = AllItems(instance);
+  auto make_stack = [&instance] {
+    FilterStack stack;
+    stack.comparator = std::make_unique<ThresholdComparator>(
+        &instance, ThresholdModel{0.05, 0.1}, /*seed=*/77);
+    stack.engine =
+        RoundEngine::CreateSerial(stack.comparator.get(), /*memoize=*/true);
+    return stack;
+  };
+  FilterStack crash_stack = make_stack();
+  CheckpointController crash_controller;
+  crash_controller.ArmCrashAtBoundary(2);
+  crash_stack.engine->set_checkpoint(&crash_controller);
+  ASSERT_FALSE(RunTwoMaxFindOnEngine(items, crash_stack.engine.get()).ok());
+  ASSERT_TRUE(crash_controller.has_checkpoint());
+  const std::string golden = crash_controller.checkpoint();
+
+  // Layout after the tag: the candidates' length word and ids, then k,
+  // the round budget and the phase.
+  const size_t candidates_at = SourceStateOffset(golden, "2MAX");
+  const int64_t candidates = ReadI64At(golden, candidates_at);
+  ASSERT_GT(candidates, 0);
+  const size_t first_candidate_at = candidates_at + 8;
+  const size_t phase_at =
+      first_candidate_at + 8 * static_cast<size_t>(candidates) + 16;
+  for (const auto& [offset, value] :
+       {std::pair<size_t, int64_t>{first_candidate_at, 1000000},
+        std::pair<size_t, int64_t>{phase_at, 99}}) {
+    std::string bytes = golden;
+    WriteI64At(&bytes, offset, value);
+    FilterStack resume_stack = make_stack();
+    CheckpointController resume_controller;
+    resume_controller.ResumeFrom(bytes);
+    resume_stack.engine->set_checkpoint(&resume_controller);
+    Result<MaxFindEngineRun> resumed =
+        RunTwoMaxFindOnEngine(items, resume_stack.engine.get());
+    ASSERT_FALSE(resumed.ok()) << "offset " << offset;
+    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+        << resumed.status().ToString();
+    EXPECT_EQ(resume_controller.restores(), 0);
+  }
+}
+
 TEST(ChaosEngineTest, RandomizedMaxFindKillAndResume) {
   const Instance instance = MakeInstance(60, /*seed=*/41);
   const std::vector<ElementId> items = AllItems(instance);
@@ -345,6 +418,48 @@ TEST(ChaosEngineTest, TournamentCrashAfterOnlyRoundResumesToResult) {
   EXPECT_EQ(resumed->tournament.comparisons, baseline->tournament.comparisons);
   EXPECT_EQ(resume_stack.comparator->num_comparisons(),
             baseline_stack.comparator->num_comparisons());
+}
+
+// A tournament checkpoint whose win tally does not match the element
+// count would index past the tally; it is refused with a typed error.
+TEST(ChaosEngineTest, TournamentCorruptWinsLengthRefusedTyped) {
+  const Instance instance = MakeInstance(12, /*seed=*/3);
+  const std::vector<ElementId> items = AllItems(instance);
+  auto make_stack = [&instance] {
+    FilterStack stack;
+    stack.comparator = std::make_unique<ThresholdComparator>(
+        &instance, ThresholdModel{0.05, 0.1}, /*seed=*/17);
+    stack.engine =
+        RoundEngine::CreateSerial(stack.comparator.get(), /*memoize=*/true);
+    return stack;
+  };
+  FilterStack crash_stack = make_stack();
+  CheckpointController crash_controller;
+  crash_controller.ArmCrashAtBoundary(1);
+  crash_stack.engine->set_checkpoint(&crash_controller);
+  ASSERT_FALSE(RunTournamentOnEngine(items, crash_stack.engine.get()).ok());
+  ASSERT_TRUE(crash_controller.has_checkpoint());
+
+  // Drop the tally's last entry and shorten its length word to match, so
+  // the rest of the checkpoint still parses.
+  std::string bytes = crash_controller.checkpoint();
+  const size_t wins_at = SourceStateOffset(bytes, "TRNY");
+  ASSERT_EQ(ReadI64At(bytes, wins_at), static_cast<int64_t>(items.size()));
+  WriteI64At(&bytes, wins_at, static_cast<int64_t>(items.size()) - 1);
+  bytes.erase(wins_at + 8 * items.size(), 8);
+
+  FilterStack resume_stack = make_stack();
+  CheckpointController resume_controller;
+  resume_controller.ResumeFrom(bytes);
+  resume_stack.engine->set_checkpoint(&resume_controller);
+  Result<TournamentEngineRun> resumed =
+      RunTournamentOnEngine(items, resume_stack.engine.get());
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+      << resumed.status().ToString();
+  EXPECT_NE(resumed.status().ToString().find("win tally"), std::string::npos)
+      << resumed.status().ToString();
+  EXPECT_EQ(resume_controller.restores(), 0);
 }
 
 // The full faulty executor stack — injector over a comparator executor,
